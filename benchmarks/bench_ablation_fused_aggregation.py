@@ -19,7 +19,7 @@ import numpy as np
 
 from conftest import dataset_for, emit
 from repro.exec.base import ExecStats
-from repro.exec.factorized import execute_factorized
+from repro.exec import execute_factorized
 from repro.plan import (
     AggSpec,
     Aggregate,

@@ -15,7 +15,7 @@ from repro.obs.clock import now
 from conftest import dataset_for, emit
 from repro.core.lazy import LazyNeighborColumn
 from repro.exec.base import ExecStats, ExecutionContext
-from repro.exec.factorized import PipelineState, dispatch_factorized
+from repro.exec.pipeline import PipelineState, dispatch
 from repro.plan import Expand, LogicalPlan, NodeScan, resolve_labels
 from repro.storage.catalog import Direction
 
@@ -34,7 +34,7 @@ def expand_pipeline(dataset, force_eager: bool):
     ctx.var_labels = resolve_labels(plan, view.schema)
     state = PipelineState()
     for op in ops:
-        dispatch_factorized(state, op, ctx)
+        dispatch(state, op, ctx)
     column = state.tree.node_of("m").block.column("m")
     assert isinstance(column, LazyNeighborColumn)
     if force_eager:

@@ -22,7 +22,7 @@ import numpy as np
 
 from conftest import emit
 from repro.obs.clock import now
-from repro.exec.flat import execute_flat
+from repro.exec import execute_flat
 from repro.plan.expressions import Col, lit
 from repro.plan.logical import Filter, GetProperty, LogicalPlan, NodeScan
 from repro.plan.optimizer import optimize

@@ -13,7 +13,8 @@ from typing import Any, Iterable
 import numpy as np
 
 from ..errors import FactorizationError
-from .column import Column, ColumnLike
+from ..types import DataType
+from .column import Column, ColumnLike, column_validity
 
 
 class FBlock:
@@ -45,6 +46,21 @@ class FBlock:
             return self._columns[name]
         except KeyError:
             raise FactorizationError(f"f-Block has no column {name!r}") from None
+
+    # The three accessors below mirror FlatBlock's, so expression resolvers
+    # and the aggregate/projection kernels read either block kind.
+
+    def array(self, name: str) -> np.ndarray:
+        """The column's values (materializing a lazy column)."""
+        return self.column(name).values()
+
+    def dtype(self, name: str) -> DataType:
+        """Logical type of column *name*."""
+        return self.column(name).dtype
+
+    def validity(self, name: str) -> np.ndarray | None:
+        """The column's validity mask; None when every entry is valid."""
+        return column_validity(self.column(name))
 
     def __len__(self) -> int:
         """Cardinality N_{F_B} (0 for a block with no columns yet)."""

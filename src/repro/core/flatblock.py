@@ -350,13 +350,6 @@ class FlatBlock:
             )
         return out
 
-    def group_indices(self, names: Sequence[str]) -> dict[tuple[Any, ...], np.ndarray]:
-        """Hash grouping: key tuple -> row indices (the flat Group-By core)."""
-        groups: dict[tuple[Any, ...], list[int]] = {}
-        for i, key in enumerate(self.to_pylist(names)):
-            groups.setdefault(key, []).append(i)
-        return {k: np.asarray(v, dtype=np.int64) for k, v in groups.items()}
-
     @classmethod
     def empty_like(cls, schema: Sequence[tuple[str, DataType]]) -> "FlatBlock":
         block = cls()

@@ -19,17 +19,13 @@ class EngineConfig:
     name: str = "GES_f*"
     executor: str = "factorized"  # execution.executor module
     optimizer: str = "fusion"  # execution.optimizer module
-    primitives: str = "f-tree"  # execution.primitives module
     parser: str = "cypher"  # frontend.parser module
-    storage_backend: str = "adjacency-inmemory"
     workers: int = 1  # worker processes for pooled execution (1 = in-process)
     # --- pooled-execution knobs (repro.parallel; active when workers > 1) ---
     partitions: int = 0  # scatter partitions per query (0 = one per worker)
     partition_kind: str = "range"  # "range" (byte-identical) | "hash"
     scatter_min_rows: int = 64  # below this source size, skip scatter
-    pool_task_timeout_ms: float = 120_000.0  # pipe-level backstop per task
     plan_cache: bool = True  # cache compiled physical plans (ablation knob)
-    plan_cache_size: int = 128  # LRU capacity when the cache is enabled
     tracing: bool = False  # per-query span trees (repro.obs.tracing)
     metrics: bool = True  # engine-level instruments (repro.obs.metrics)
     flight_recorder: int = 64  # last-N query ring size (0 disables)
@@ -39,7 +35,6 @@ class EngineConfig:
     query_timeout_ms: float = 0.0  # per-query deadline (0 = unbounded)
     max_concurrent_queries: int = 0  # admission concurrency limit (0 = off)
     admission_queue_limit: int = 0  # bounded wait queue depth (0 = no queue)
-    admission_queue_timeout_ms: float = 100.0  # max wait for an admission slot
     memory_budget_bytes: int = 0  # estimated-memory admission budget (0 = off)
     retry_attempts: int = 0  # total attempts for retryable errors (0/1 = off)
     retry_backoff_ms: float = 1.0  # base backoff before the first retry
@@ -51,80 +46,19 @@ class EngineConfig:
     checkpoint_keep: int = 2  # checkpoints retained (older ones pruned)
 
     @classmethod
-    def ges(
-        cls,
-        workers: int = 1,
-        plan_cache: bool = True,
-        tracing: bool = False,
-        metrics: bool = True,
-        flight_recorder: int = 64,
-        slow_query_ms: float = 50.0,
-        **knobs,
-    ) -> "EngineConfig":
+    def ges(cls, **knobs) -> "EngineConfig":
         """The flat baseline variant (paper: GES)."""
-        return cls(
-            name="GES",
-            executor="flat",
-            optimizer="none",
-            primitives="flat-block",
-            workers=workers,
-            plan_cache=plan_cache,
-            tracing=tracing,
-            metrics=metrics,
-            flight_recorder=flight_recorder,
-            slow_query_ms=slow_query_ms,
-            **knobs,
-        )
+        return cls(name="GES", executor="flat", optimizer="none", **knobs)
 
     @classmethod
-    def ges_f(
-        cls,
-        workers: int = 1,
-        plan_cache: bool = True,
-        tracing: bool = False,
-        metrics: bool = True,
-        flight_recorder: int = 64,
-        slow_query_ms: float = 50.0,
-        **knobs,
-    ) -> "EngineConfig":
+    def ges_f(cls, **knobs) -> "EngineConfig":
         """The factorized variant without fusion (paper: GES_f)."""
-        return cls(
-            name="GES_f",
-            executor="factorized",
-            optimizer="none",
-            workers=workers,
-            plan_cache=plan_cache,
-            tracing=tracing,
-            metrics=metrics,
-            flight_recorder=flight_recorder,
-            slow_query_ms=slow_query_ms,
-            **knobs,
-        )
+        return cls(name="GES_f", executor="factorized", optimizer="none", **knobs)
 
     @classmethod
-    def ges_f_star(
-        cls,
-        workers: int = 1,
-        plan_cache: bool = True,
-        tracing: bool = False,
-        metrics: bool = True,
-        flight_recorder: int = 64,
-        slow_query_ms: float = 50.0,
-        **knobs,
-    ) -> "EngineConfig":
+    def ges_f_star(cls, **knobs) -> "EngineConfig":
         """The factorized variant with operator fusion (paper: GES_f*)."""
-        return cls(
-            name="GES_f*",
-            executor="factorized",
-            optimizer="fusion",
-            workers=workers,
-            plan_cache=plan_cache,
-            tracing=tracing,
-            metrics=metrics,
-            flight_recorder=flight_recorder,
-            slow_query_ms=slow_query_ms,
-            **knobs,
-        )
+        return cls(name="GES_f*", executor="factorized", optimizer="fusion", **knobs)
 
 
 #: All three paper variants, in ablation order.

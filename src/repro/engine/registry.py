@@ -24,7 +24,7 @@ from ..errors import GesError
 @dataclass(frozen=True)
 class ModuleKey:
     layer: str  # "frontend" | "execution" | "storage"
-    component: str  # e.g. "executor", "primitives", "parser"
+    component: str  # e.g. "executor", "optimizer", "parser"
     name: str  # module name within the component
 
     def slot(self) -> tuple[str, str]:
@@ -72,17 +72,13 @@ class ModuleRegistry:
 
 def default_registry() -> ModuleRegistry:
     """Registry pre-populated with every built-in module."""
-    from ..exec.factorized import execute_factorized
-    from ..exec.flat import execute_flat
+    from ..exec.pipeline import execute_factorized, execute_flat
     from ..frontend.cypher import compile_cypher
     from ..plan.optimizer import DEFAULT_RULES, optimize
 
     registry = ModuleRegistry()
     # Frontend layer.
     registry.register("frontend", "parser", "cypher", compile_cypher)
-    # Execution layer: primitives (data representation during execution).
-    registry.register("execution", "primitives", "flat-block", "flat-block")
-    registry.register("execution", "primitives", "f-tree", "f-tree")
     # Execution layer: executors.
     registry.register("execution", "executor", "flat", execute_flat)
     registry.register("execution", "executor", "factorized", execute_factorized)

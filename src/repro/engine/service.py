@@ -78,7 +78,7 @@ class GraphEngineService:
             "execution", "optimizer", self.config.optimizer
         )
         self.plan_cache: PlanCache | None = (
-            PlanCache(self.config.plan_cache_size) if self.config.plan_cache else None
+            PlanCache() if self.config.plan_cache else None
         )
         self._schema_fingerprint = self.store.schema.fingerprint()
         self.flight: FlightRecorder | None = (
@@ -108,7 +108,6 @@ class GraphEngineService:
             AdmissionController(
                 max_concurrent=self.config.max_concurrent_queries,
                 queue_limit=self.config.admission_queue_limit,
-                queue_timeout_ms=self.config.admission_queue_timeout_ms,
                 memory_budget_bytes=self.config.memory_budget_bytes,
                 pool_bytes=lambda: pool_ref.pooled_bytes,
             )
@@ -427,7 +426,7 @@ class GraphEngineService:
             and self.retry_policy is None
             and self.admission is None
         ):
-            return self._execute_tracked(query, params, view, stats)
+            return self._execute_guarded(query, params, view, stats)
         deadline = (
             Deadline.after(timeout_s) if timeout_s is not None else None
         )
@@ -440,9 +439,9 @@ class GraphEngineService:
                 admission._acquire(estimate)
             try:
                 if self.retry_policy is None:
-                    return self._execute_tracked(query, params, view, stats)
+                    return self._execute_guarded(query, params, view, stats)
                 return self.retry_policy.run(
-                    lambda: self._execute_tracked(query, params, view, stats),
+                    lambda: self._execute_guarded(query, params, view, stats),
                     deadline=effective,
                     on_retry=self._count_retry,
                 )
@@ -460,23 +459,6 @@ class GraphEngineService:
         finally:
             pop_deadline(prev)
 
-    def _execute_tracked(
-        self,
-        query: str | LogicalPlan,
-        params: Mapping[str, Any] | None,
-        view: GraphReadView | None,
-        stats: ExecStats,
-    ) -> QueryResult:
-        """One attempt with the in-flight gauge held around it."""
-        gauge = self._m_inflight
-        if gauge is None:
-            return self._execute_guarded(query, params, view, stats)
-        gauge.add(1)
-        try:
-            return self._execute_guarded(query, params, view, stats)
-        finally:
-            gauge.add(-1)
-
     def _execute_guarded(
         self,
         query: str | LogicalPlan,
@@ -485,65 +467,73 @@ class GraphEngineService:
         stats: ExecStats,
     ) -> QueryResult:
         """One execution attempt: compile, execute (with the degradation
-        ladder's executor fallback), record metrics and the flight entry."""
-        started = now()
-        measured = self._m_queries is not None
-        if measured:
-            pre_hits = stats.plan_cache_hits
-            pre_misses = stats.plan_cache_misses
-            pre_defactor = stats.defactor_count
-            pre_tuples = stats.flat_tuples
-            pre_slots = stats.ftree_slots
-        physical = self.plan(query, stats=stats)
-        if view is None:
-            view = self.read_view()
-        result = (
-            self.parallel.try_execute(query, physical, view, params, stats)
-            if self.parallel is not None
-            else None
-        )
-        if result is None:  # in-process path (workers == 1, or pool fallback)
-            stats.route = "in-process"
-            if self._fallback_execute is None:
-                result = self._execute(physical, view, params, stats)
-            else:
-                result = with_fallback(
-                    lambda: self._execute(physical, view, params, stats),
-                    lambda: self._fallback_execute(physical, view, params, stats),
-                    on_degrade=lambda exc: self._note_degraded(
-                        stats, f"executor:{type(exc).__name__}"
-                    ),
-                )
-        if stats.trace is not None:
-            stats.trace.touch()
-            stats.trace.root.attrs["rows"] = len(result)
-        if measured:
-            self._m_queries.inc()
-            self._m_latency.observe(now() - started)
-            if stats.plan_cache_hits > pre_hits:
-                self._m_cache_hits.inc(stats.plan_cache_hits - pre_hits)
-            if stats.plan_cache_misses > pre_misses:
-                self._m_cache_misses.inc(stats.plan_cache_misses - pre_misses)
-            if stats.defactor_count > pre_defactor:
-                self._m_defactor.inc(stats.defactor_count - pre_defactor)
-            slots = stats.ftree_slots - pre_slots
-            if slots > 0:
-                self._m_compression.observe(
-                    (stats.flat_tuples - pre_tuples) / slots
-                )
-        if self.flight is not None:
-            self.flight.record(
-                query=query if isinstance(query, str) else _plan_label(query),
-                variant=self.config.name,
-                seconds=now() - started,
-                rows=len(result),
-                stats=stats,
-                metrics_snapshot=self._metrics_snapshot(),
+        ladder's executor fallback), record metrics and the flight entry —
+        with the in-flight gauge held around it."""
+        gauge = self._m_inflight
+        if gauge is not None:
+            gauge.add(1)
+        try:
+            started = now()
+            measured = self._m_queries is not None
+            if measured:
+                pre_hits = stats.plan_cache_hits
+                pre_misses = stats.plan_cache_misses
+                pre_defactor = stats.defactor_count
+                pre_tuples = stats.flat_tuples
+                pre_slots = stats.ftree_slots
+            physical = self.plan(query, stats=stats)
+            if view is None:
+                view = self.read_view()
+            result = (
+                self.parallel.try_execute(query, physical, view, params, stats)
+                if self.parallel is not None
+                else None
             )
-        self._mem_ewma += _MEM_EWMA_ALPHA * (
-            stats.peak_intermediate_bytes - self._mem_ewma
-        )
-        return result
+            if result is None:  # in-process path (workers == 1, or pool fallback)
+                stats.route = "in-process"
+                if self._fallback_execute is None:
+                    result = self._execute(physical, view, params, stats)
+                else:
+                    result = with_fallback(
+                        lambda: self._execute(physical, view, params, stats),
+                        lambda: self._fallback_execute(physical, view, params, stats),
+                        on_degrade=lambda exc: self._note_degraded(
+                            stats, f"executor:{type(exc).__name__}"
+                        ),
+                    )
+            if stats.trace is not None:
+                stats.trace.touch()
+                stats.trace.root.attrs["rows"] = len(result)
+            if measured:
+                self._m_queries.inc()
+                self._m_latency.observe(now() - started)
+                if stats.plan_cache_hits > pre_hits:
+                    self._m_cache_hits.inc(stats.plan_cache_hits - pre_hits)
+                if stats.plan_cache_misses > pre_misses:
+                    self._m_cache_misses.inc(stats.plan_cache_misses - pre_misses)
+                if stats.defactor_count > pre_defactor:
+                    self._m_defactor.inc(stats.defactor_count - pre_defactor)
+                slots = stats.ftree_slots - pre_slots
+                if slots > 0:
+                    self._m_compression.observe(
+                        (stats.flat_tuples - pre_tuples) / slots
+                    )
+            if self.flight is not None:
+                self.flight.record(
+                    query=query if isinstance(query, str) else _plan_label(query),
+                    variant=self.config.name,
+                    seconds=now() - started,
+                    rows=len(result),
+                    stats=stats,
+                    metrics_snapshot=self._metrics_snapshot(),
+                )
+            self._mem_ewma += _MEM_EWMA_ALPHA * (
+                stats.peak_intermediate_bytes - self._mem_ewma
+            )
+            return result
+        finally:
+            if gauge is not None:
+                gauge.add(-1)
 
     def _mem_estimate(self) -> int:
         """Estimated peak intermediate footprint of the next query (EWMA of
@@ -696,7 +686,6 @@ class GraphEngineService:
             "variant": self.config.name,
             "executor": self.config.executor,
             "optimizer": self.config.optimizer,
-            "primitives": self.config.primitives,
             "vertices": self.store.vertex_count,
             "edges": self.store.edge_count,
             "plan_cache": (

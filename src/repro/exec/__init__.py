@@ -1,9 +1,8 @@
-"""Query executors: flat (GES), factorized (GES_f), fused host, runtime."""
+"""Query execution: one operator pipeline (flat / factorized start states), runtime."""
 
 from . import analytics  # noqa: F401 — registers the OLAP procedures
 from .base import ExecStats, ExecutionContext, QueryResult
-from .factorized import execute_factorized
-from .flat import execute_flat
+from .pipeline import execute_factorized, execute_flat
 from .procedures import get_procedure, register_procedure
 from .runtime import SimulationResult, run_inter_query, run_sequential, simulate_service
 

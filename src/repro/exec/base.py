@@ -13,6 +13,7 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ..core.fblock import FBlock
 from ..core.flatblock import FlatBlock
 from ..errors import ExecutionError
 from ..obs.clock import now
@@ -326,9 +327,10 @@ class OpTimer:
 
 
 class BlockResolver:
-    """Column resolver over a :class:`FlatBlock` for expression evaluation."""
+    """Column resolver over a :class:`FlatBlock` or one f-Block (node-local
+    filter/projection) for expression evaluation."""
 
-    def __init__(self, block: FlatBlock) -> None:
+    def __init__(self, block: FlatBlock | FBlock) -> None:
         self._block = block
 
     def resolve(self, name: str) -> np.ndarray:

@@ -40,6 +40,7 @@ from ..storage.graph import GraphReadView
 from ..testkit.plans import serialize_plan
 from .partition import analyze_plan
 from .pool import (
+    DEFAULT_TASK_TIMEOUT_S,
     SnapshotTask,
     WorkerPool,
     merge_obs_payload,
@@ -65,7 +66,6 @@ class ParallelCoordinator:
         self.partitions = int(config.partitions) or self.workers
         self.kind = config.partition_kind
         self.scatter_min_rows = int(config.scatter_min_rows)
-        self.default_timeout_s = config.pool_task_timeout_ms / 1e3
         self.ship_obs = bool(config.metrics)
         self.exporter = SnapshotExporter(engine.store)
         # Routing counters (introspection + tests).
@@ -104,7 +104,7 @@ class ParallelCoordinator:
             deadline.check()  # raises QueryTimeout when already expired
             timeout_s = deadline.remaining()
         else:
-            timeout_s = self.default_timeout_s
+            timeout_s = DEFAULT_TASK_TIMEOUT_S  # pipe-level backstop
         try:
             snapshot = self.exporter.acquire(view)
         except GesError as exc:

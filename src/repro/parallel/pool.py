@@ -256,7 +256,7 @@ def _worker_main(conn: Any) -> None:
                     task_counters[task["mode"]] = counter
                 counter.inc()
             if task["mode"] == "partial":
-                from ..exec.flat import execute_flat_block
+                from ..exec.pipeline import execute_flat_block
 
                 plan = deserialize_plan(task["plan"])
                 block, ctx = execute_flat_block(

@@ -4,8 +4,8 @@ The coordinator enumerates the source rows, partitions them
 (:mod:`.partition`), ships one partition plan per part, reassembles the
 partial blocks **in partition-index order** (never arrival order — that is
 what makes results independent of scheduling), merges (aggregate combine
-or plain concat), and re-runs the suffix operators in-process via the flat
-executor's ``dispatch_flat``.
+or plain concat), and re-runs the suffix operators in-process through the
+pipeline's driver loop, over a flat state seeded with the merged block.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..core.flatblock import FlatBlock
-from ..exec.base import ExecStats, ExecutionContext, OpTimer, QueryResult, result_from_flat
-from ..exec.flat import dispatch_flat
+from ..exec.base import ExecStats, ExecutionContext, QueryResult, result_from_flat
+from ..exec.pipeline import PipelineState, run_ops
 from ..obs.clock import now
 from ..plan.logical import Aggregate, LogicalPlan, NodeScan, resolve_labels
 from ..storage.graph import GraphReadView
@@ -158,9 +158,6 @@ def scatter_execute(
 
     ctx = ExecutionContext(view, params, stats)
     ctx.var_labels = resolve_labels(physical, view.schema)
-    for op in analysis.suffix:
-        with OpTimer(ctx, op.op_name) as timer:
-            previous = block
-            block = dispatch_flat(block, op, ctx)
-            timer.out_bytes = block.nbytes + previous.nbytes
-    return result_from_flat(block, physical.returns, ctx.stats)
+    state = PipelineState(factorize=False, flat=block)
+    run_ops(state, analysis.suffix, ctx)
+    return result_from_flat(state.flat, physical.returns, ctx.stats)

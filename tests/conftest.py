@@ -29,6 +29,7 @@ def build_micro_schema() -> GraphSchema:
                 PropertyDef("id", DataType.INT64),
                 PropertyDef("firstName", DataType.STRING),
                 PropertyDef("age", DataType.INT64),
+                PropertyDef("active", DataType.BOOL),
             ],
             primary_key="id",
         )
@@ -75,6 +76,8 @@ def build_micro_store() -> GraphStore:
             "id": np.arange(5),
             "firstName": np.asarray(["A", "B", "C", "B", "E"], dtype=object),
             "age": np.asarray([30, 25, 35, 25, 40]),
+            # Both "B" persons are inactive: an all-False group for max().
+            "active": np.asarray([True, False, True, False, False]),
         },
     )
     store.bulk_load_vertices(
@@ -82,7 +85,9 @@ def build_micro_store() -> GraphStore:
         {
             "id": np.arange(100, 106),
             "length": np.asarray([140, 123, 120, 200, 90, 130]),
-            "score": np.asarray([1.0, 2.5, 0.5, 4.0, 3.5, 2.0]),
+            # Person 2 ("C") created m1 and m2, so that group sums to NaN;
+            # m4 is the lone message of person 4 ("E"), a group of one +inf.
+            "score": np.asarray([1.0, -np.inf, np.inf, 4.0, np.inf, 2.0]),
         },
     )
     store.bulk_load_vertices(

@@ -36,8 +36,8 @@ class TestModuleRegistry:
         assert inventory["frontend.parser"] == ["cypher"]
 
     def test_available(self):
-        assert default_registry().available("execution", "primitives") == [
-            "f-tree", "flat-block",
+        assert default_registry().available("execution", "optimizer") == [
+            "fusion", "none",
         ]
 
 

@@ -39,12 +39,18 @@ STORE = build_micro_store()
 VOLCANO = VolcanoEngine(STORE)
 
 
+def _comparable(rows: list[tuple]) -> list[tuple]:
+    """NaN is not equal to itself; stand a marker in for it that is, and
+    that is still distinct from NULL (None)."""
+    return [tuple("NaN" if v != v else v for v in row) for row in rows]
+
+
 def run_everywhere(plan: LogicalPlan, params=None) -> None:
     view = STORE.read_view()
-    flat = execute_flat(plan, view, params).rows
-    fact = execute_factorized(plan, view, params).rows
-    fused = execute_factorized(optimize(plan), view, params).rows
-    volcano = VOLCANO.execute(plan, params).rows
+    flat = _comparable(execute_flat(plan, view, params).rows)
+    fact = _comparable(execute_factorized(plan, view, params).rows)
+    fused = _comparable(execute_factorized(optimize(plan), view, params).rows)
+    volcano = _comparable(VOLCANO.execute(plan, params).rows)
     assert fact == flat, f"factorized != flat: {fact} vs {flat}"
     assert fused == flat, f"fused != flat: {fused} vs {flat}"
     assert volcano == flat, f"volcano != flat: {volcano} vs {flat}"
@@ -149,18 +155,42 @@ def test_paper_figure8_query_on_all_engines():
     run_everywhere(plan)
 
 
-def test_grouped_aggregate_on_all_engines():
-    plan = LogicalPlan(
-        [
-            NodeScan("p", "Person"),
-            GetProperty("p", "firstName", "name"),
-            Expand("p", "m", "HAS_CREATOR", Direction.IN, to_label="Message"),
-            Aggregate(["name"], [AggSpec("n", "count")]),
-            OrderBy([("n", False), ("name", True)]),
-        ],
-        returns=["name", "n"],
-    )
-    run_everywhere(plan)
+AGGREGATES = ["count(*)", "count", "sum", "min", "max", "avg", "count_distinct"]
+
+
+@pytest.mark.parametrize("arg", ["len", "age", "active", "score"])
+@pytest.mark.parametrize("rows", ["inner", "null-bearing", "empty"])
+@pytest.mark.parametrize("group_by", [[], ["name"]], ids=["ungrouped", "grouped"])
+@pytest.mark.parametrize("fn", AGGREGATES)
+def test_grouped_aggregate_on_all_engines(fn, group_by, rows, arg):
+    """Every aggregate function, ungrouped and grouped, over three inputs:
+    plain rows, a NULL-bearing argument column with one all-NULL group (the
+    optional expand leaves person "A" without a message), and no rows at
+    all.  ``age`` sits on the person node, so the fused plan aggregates it
+    weighted by tuple multiplicity; ``len`` sits on the message node, so a
+    grouped aggregate over it spans f-Tree nodes.  ``active`` is a BOOL
+    with an all-False group, and ``score`` a float with a group of
+    [-inf, +inf] (its sum and avg are NaN, not NULL) and a group of one
+    +inf."""
+    ops = [
+        NodeScan("p", "Person"),
+        GetProperty("p", "firstName", "name"),
+        GetProperty("p", "age", "age"),
+        GetProperty("p", "active", "active"),
+        Expand("p", "m", "HAS_CREATOR", Direction.IN, to_label="Message",
+               optional=rows == "null-bearing"),
+        GetProperty("m", "length", "len"),
+        GetProperty("m", "score", "score"),
+    ]
+    if rows == "empty":
+        ops.append(Filter(Col("len") > lit(10_000)))
+    agg = AggSpec("out", "count") if fn == "count(*)" else AggSpec("out", fn, arg)
+    ops += [
+        Aggregate(group_by, [agg]),
+        OrderBy([(name, True) for name in group_by] + [("out", True)]),
+        Limit(100),  # lets the optimizer fuse AggregateTopK
+    ]
+    run_everywhere(LogicalPlan(ops, returns=group_by + ["out"]))
 
 
 def test_multi_node_conjunction_filter_on_all_engines():

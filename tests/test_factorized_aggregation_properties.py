@@ -1,17 +1,36 @@
-"""Property tests: the factorized aggregation fast path (index-vector
-counting with tuple-multiplicity weights) must agree with aggregating the
-fully de-factored relation."""
+"""Property tests of the one aggregate kernel: weighting a node's entries
+by ``tuples_through`` (index-vector counting, no enumeration) must agree
+with running the same kernel unweighted over the fully de-factored
+relation — plus the INT64-exactness regression across every engine."""
 
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.volcano import VolcanoEngine
 from repro.core import Column, FBlock, FTree, IndexVector, materialize
-from repro.exec.base import ExecStats, ExecutionContext
-from repro.exec.factorized import aggregate_on_node
-from repro.exec.flat import flat_aggregate
-from repro.plan import AggSpec
+from repro.exec import execute_factorized, execute_flat
+from repro.exec.aggregate import aggregate, tuples_through
+from repro.plan import (
+    AggSpec,
+    Aggregate,
+    Expand,
+    GetProperty,
+    Limit,
+    LogicalPlan,
+    NodeScan,
+    OrderBy,
+    optimize,
+)
+from repro.storage import GraphStore
+from repro.storage.catalog import (
+    Direction,
+    EdgeLabelDef,
+    GraphSchema,
+    PropertyDef,
+    VertexLabelDef,
+)
 from repro.types import DataType
 
 
@@ -58,11 +77,14 @@ AGGS = [
 ]
 
 
+def on_node(tree: FTree, node, group_by: list[str], aggs: list[AggSpec]):
+    """The kernel over one node's entries, weighted by tuple multiplicity."""
+    return aggregate(node.block, group_by, aggs, tuples_through(tree, node))
+
+
 def oracle(tree: FTree, group_by: list[str], aggs: list[AggSpec]):
-    """Aggregate the fully materialized relation with the flat operator."""
-    flat = materialize(tree)
-    ctx = ExecutionContext(view=None, params={}, stats=ExecStats())  # type: ignore[arg-type]
-    return flat_aggregate(flat, group_by, aggs, ctx)
+    """The kernel, unweighted, over the fully materialized relation."""
+    return aggregate(materialize(tree), group_by, aggs)
 
 
 def as_row_set(block) -> set:
@@ -75,7 +97,7 @@ def as_row_set(block) -> set:
 @settings(max_examples=80, deadline=None)
 @given(two_level_trees())
 def test_grouped_aggregates_match_flat_oracle(tree: FTree):
-    fast = aggregate_on_node(tree, tree.root, ["g"], AGGS)
+    fast = on_node(tree, tree.root, ["g"], AGGS)
     expected = oracle(tree, ["g"], AGGS)
     assert as_row_set(fast) == as_row_set(expected)
 
@@ -83,7 +105,7 @@ def test_grouped_aggregates_match_flat_oracle(tree: FTree):
 @settings(max_examples=60, deadline=None)
 @given(two_level_trees())
 def test_global_count_matches_num_tuples(tree: FTree):
-    fast = aggregate_on_node(tree, tree.root, [], [AggSpec("n", "count")])
+    fast = on_node(tree, tree.root, [], [AggSpec("n", "count")])
     assert fast.to_pylist() == [(tree.num_tuples(),)]
 
 
@@ -91,6 +113,108 @@ def test_global_count_matches_num_tuples(tree: FTree):
 @given(two_level_trees())
 def test_count_on_child_node_matches_oracle(tree: FTree):
     node = tree.node_of("c")
-    fast = aggregate_on_node(tree, node, ["c"], [AggSpec("n", "count")])
+    fast = on_node(tree, node, ["c"], [AggSpec("n", "count")])
     expected = oracle(tree, ["c"], [AggSpec("n", "count")])
     assert as_row_set(fast) == as_row_set(expected)
+
+
+def volcano_reference(tree: FTree, group_by: list[str], aggs: list[AggSpec]) -> set:
+    """Volcano's tuple-at-a-time aggregate over the enumerated relation."""
+    from repro.baselines.volcano import _aggregate
+
+    flat = materialize(tree)
+    rows = [dict(zip(flat.schema, row)) for row in flat.to_pylist()]
+    columns = group_by + [a.out for a in aggs]
+    return {
+        tuple(round(row[c], 9) if isinstance(row[c], float) else row[c] for c in columns)
+        for row in _aggregate(rows, group_by, aggs, {})
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_level_trees())
+def test_kernel_matches_volcano_reference(tree: FTree):
+    assert as_row_set(oracle(tree, ["g"], AGGS)) == volcano_reference(tree, ["g"], AGGS)
+
+
+# -- INT64 sums are exact (regression: float64 bincount rounded above 2**53) ------
+
+
+def big_sum_store() -> GraphStore:
+    """Three persons, v = [2**53, 1, 1], everyone KNOWS the other two."""
+    schema = GraphSchema()
+    schema.add_vertex_label(
+        VertexLabelDef(
+            "Person",
+            [
+                PropertyDef("id", DataType.INT64),
+                PropertyDef("g", DataType.INT64),
+                PropertyDef("v", DataType.INT64),
+            ],
+            primary_key="id",
+        )
+    )
+    schema.add_edge_label(EdgeLabelDef("KNOWS", "Person", "Person"))
+    store = GraphStore(schema)
+    store.bulk_load_vertices(
+        "Person",
+        {
+            "id": np.arange(3),
+            "g": np.asarray([0, 0, 1]),
+            "v": np.asarray([2**53, 1, 1], dtype=np.int64),
+        },
+    )
+    store.bulk_load_edges(
+        "KNOWS",
+        "Person",
+        "Person",
+        np.asarray([0, 0, 1, 1, 2, 2]),
+        np.asarray([1, 2, 0, 2, 0, 1]),
+    )
+    return store
+
+
+def rows_on_every_engine(store: GraphStore, plan: LogicalPlan) -> list[tuple]:
+    fused_plan = optimize(plan)
+    # The fused plan is what reaches the weighted (node-local) kernel call.
+    assert any(op.op_name == "AggregateTopK" for op in fused_plan.ops)
+    view = store.read_view()
+    flat = execute_flat(plan, view).rows
+    assert execute_factorized(plan, view).rows == flat
+    assert execute_factorized(fused_plan, view).rows == flat
+    assert VolcanoEngine(store).execute(plan).rows == flat
+    return flat
+
+
+def test_int64_sum_is_exact_on_every_engine():
+    plan = LogicalPlan(
+        [
+            NodeScan("p", "Person"),
+            GetProperty("p", "v", "v"),
+            Aggregate([], [AggSpec("total", "sum", "v")]),
+            OrderBy([("total", True)]),
+            Limit(1),
+        ],
+        returns=["total"],
+    )
+    assert rows_on_every_engine(big_sum_store(), plan) == [(2**53 + 2,)]
+
+
+def test_weighted_grouped_int64_sum_is_exact_on_every_engine():
+    """A child node makes every person's ``tuples_through`` weight 2."""
+    plan = LogicalPlan(
+        [
+            NodeScan("p", "Person"),
+            GetProperty("p", "g", "g"),
+            GetProperty("p", "v", "v"),
+            Expand("p", "f", "KNOWS", Direction.OUT),
+            Aggregate(["g"], [AggSpec("total", "sum", "v"), AggSpec("n", "count")]),
+            OrderBy([("g", True)]),
+            Limit(10),
+        ],
+        returns=["g", "total", "n"],
+    )
+    assert rows_on_every_engine(big_sum_store(), plan) == [
+        (0, 2 * (2**53 + 1), 4),
+        (1, 2, 2),
+    ]

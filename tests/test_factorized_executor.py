@@ -8,7 +8,8 @@ import pytest
 from repro.core.lazy import LazyNeighborColumn
 from repro.exec import ExecStats, execute_factorized, execute_flat
 from repro.exec.base import ExecutionContext
-from repro.exec.factorized import PipelineState, dispatch_factorized, tuples_through
+from repro.exec.aggregate import tuples_through
+from repro.exec.pipeline import PipelineState, dispatch
 from repro.plan import (
     AggSpec,
     Aggregate,
@@ -46,7 +47,7 @@ def state_after(store, ops, params=None):
     ctx.var_labels = resolve_labels(plan, view.schema)
     state = PipelineState()
     for op in ops:
-        dispatch_factorized(state, op, ctx)
+        dispatch(state, op, ctx)
     return state, ctx
 
 

@@ -1,10 +1,12 @@
 """Tests pinning the factorized executor's fallback decision points:
-pending-order flushes, streaming AggregateTopK over multi-node groups, and
-block-based continuation after de-factoring."""
+pending-order flushes, AggregateTopK over multi-node groups (a narrow
+materialize feeding the aggregate kernel), and block-based continuation
+after de-factoring."""
 
 import numpy as np
 import pytest
 
+from repro.baselines.volcano import VolcanoEngine
 from repro.exec import ExecStats, execute_factorized, execute_flat
 from repro.plan import (
     AggSpec,
@@ -101,8 +103,8 @@ class TestPendingOrderFlush:
 class TestStreamingAggregateTopK:
     def test_multi_node_group_keys_stream(self, micro_store):
         """Group keys spanning nodes cannot use index-vector counting; the
-        fused operator streams the enumeration instead — still without a
-        recorded de-factor."""
+        fused operator materializes just the group/argument attributes
+        instead — still without a recorded de-factor."""
         stats = ExecStats()
         result = both(
             micro_store,
@@ -126,29 +128,34 @@ class TestStreamingAggregateTopK:
         assert stats.defactor_count == 0
 
     def test_streaming_aggregate_min_avg_distinct(self, micro_store):
-        result = both(
-            micro_store,
-            [
-                NodeScan("p", "Person"),
-                GetProperty("p", "firstName", "name"),
-                Expand("p", "m", "HAS_CREATOR", Direction.IN, to_label="Message"),
-                GetProperty("m", "length", "len"),
-                AggregateTopK(
-                    ["name"],
-                    [
-                        AggSpec("lo", "min", "len"),
-                        AggSpec("mean", "avg", "len"),
-                        AggSpec("d", "count_distinct", "len"),
-                    ],
-                    [("name", True)],
-                    10,
-                ),
-            ],
-            returns=["name", "lo", "mean", "d"],
-        )
+        """The cross-node aggregate: group key and argument live in different
+        f-Tree nodes, so only those attributes are materialized before the
+        aggregate kernel runs — checked against the Volcano reference."""
+        ops = [
+            NodeScan("p", "Person"),
+            GetProperty("p", "firstName", "name"),
+            Expand("p", "m", "HAS_CREATOR", Direction.IN, to_label="Message"),
+            GetProperty("m", "length", "len"),
+            AggregateTopK(
+                ["name"],
+                [
+                    AggSpec("lo", "min", "len"),
+                    AggSpec("mean", "avg", "len"),
+                    AggSpec("d", "count_distinct", "len"),
+                ],
+                [("name", True)],
+                10,
+            ),
+        ]
+        returns = ["name", "lo", "mean", "d"]
+        stats = ExecStats()
+        result = both(micro_store, ops, returns=returns, stats=stats)
+        reference = VolcanoEngine(micro_store).execute(LogicalPlan(ops, returns=returns))
+        assert result.rows == reference.rows
         by_name = {r[0]: r for r in result.rows}
         assert by_name["C"][1] == 120  # min(123, 120)
         assert by_name["C"][3] == 2
+        assert stats.defactor_count == 0  # a narrow materialize, not a de-factor
 
     def test_global_aggregate_top_k(self, micro_store):
         result = both(

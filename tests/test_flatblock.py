@@ -118,10 +118,6 @@ class TestOps:
         with pytest.raises(ExecutionError):
             sample().concat(sample().select(["id"]))
 
-    def test_group_indices(self):
-        groups = sample().group_indices(["name"])
-        assert groups[("a",)].tolist() == [1, 3]
-
     def test_rows_and_pylist_agree(self):
         block = sample()
         assert list(block.rows()) == block.to_pylist()

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Column, FBlock, FTree, FTreeNode, IndexVector, materialize
-from repro.exec.factorized import tuples_through
+from repro.exec.aggregate import tuples_through
 from repro.types import DataType
 
 

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.flatblock import FlatBlock
-from repro.exec.flat import execute_flat
-from repro.exec.factorized import execute_factorized
+from repro.exec import execute_factorized, execute_flat
 from repro.baselines.volcano import VolcanoEngine
 from repro.plan.expressions import Cmp, Col, Lit, Param
 from repro.plan.logical import (
