@@ -18,13 +18,7 @@ import numpy as np
 from .column import column_validity
 from .flatblock import FlatBlock
 from .ftree import FTree, FTreeNode
-
-
-def _exclusive_cumsum(values: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(values), dtype=np.int64)
-    if len(values) > 1:
-        np.cumsum(values[:-1], out=out[1:])
-    return out
+from .lazy import exclusive_cumsum
 
 
 def _subtree_counts(tree: FTree) -> dict[int, np.ndarray]:
@@ -73,7 +67,7 @@ def materialize_rows(tree: FTree) -> dict[int, np.ndarray]:
             replicate = np.repeat(np.arange(len(entries), dtype=np.int64), span_counts)
             within = (
                 np.arange(total, dtype=np.int64)
-                - np.repeat(_exclusive_cumsum(span_counts), span_counts)
+                - np.repeat(exclusive_cumsum(span_counts), span_counts)
             )
             child_tuple_idx = np.repeat(span_starts, span_counts) + within
 

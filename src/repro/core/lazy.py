@@ -20,7 +20,9 @@ from ..types import DataType
 _REF_BYTES = 16
 
 
-def _exclusive_cumsum(values: np.ndarray) -> np.ndarray:
+def exclusive_cumsum(values: np.ndarray) -> np.ndarray:
+    """Start offset of each run when runs of *values* lengths are laid
+    end to end (``[0, v0, v0 + v1, ...]``, one entry per value)."""
     out = np.zeros(len(values), dtype=np.int64)
     if len(values) > 1:
         np.cumsum(values[:-1], out=out[1:])
@@ -46,7 +48,7 @@ class LazyNeighborColumn:
         self._starts = np.asarray(starts, dtype=np.int64)
         self._lengths = np.asarray(lengths, dtype=np.int64)
         # Offset of each reference inside the logical column.
-        self._offsets = _exclusive_cumsum(self._lengths)
+        self._offsets = exclusive_cumsum(self._lengths)
         self._materialized: np.ndarray | None = None
 
     @classmethod

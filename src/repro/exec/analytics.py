@@ -2,7 +2,9 @@
 
 GES serves analytical workloads ("large-scale graph traversal for risk
 management and pattern detection") alongside the interactive queries.
-These stored procedures run vectorized over the CSR adjacency layout:
+These stored procedures run vectorized over the CSR adjacency layout, read
+with one bulk gather at the view's version (so a list carrying tombstones
+or MVCC stamps answers like its compacted twin):
 
 * ``pagerank`` — damped power iteration;
 * ``connected_components`` — iterative label propagation (undirected view);
@@ -21,40 +23,30 @@ from typing import Any
 import numpy as np
 
 from ..core.flatblock import FlatBlock
-from ..errors import ExecutionError
 from ..storage.catalog import AdjacencyKey, Direction
 from ..storage.graph import GraphReadView
 from ..types import DataType
 from .procedures import register_procedure
 
 
-def _csr(view: GraphReadView, vertex_label: str, edge_label: str):
-    """(starts, lengths, targets base, n) of the OUT adjacency of one key."""
+def _csr(
+    view: GraphReadView, vertex_label: str, edge_label: str
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(degrees, targets, n) of the OUT adjacency of one key.
+
+    Every vertex row is a source of one gather, so ``degrees`` counts the
+    edges visible at the view's version and row i owns ``degrees[i]``
+    consecutive ``targets`` in adjacency order.
+    """
     key = AdjacencyKey(vertex_label, edge_label, vertex_label, Direction.OUT)
-    adjacency = view.store.adjacency(key)
-    if not adjacency.supports_segments:
-        raise ExecutionError(
-            f"analytics over {edge_label!r} requires a compacted adjacency "
-            "(reload or snapshot-roundtrip the graph after updates)"
-        )
     n = len(view.store.table(vertex_label))
-    rows = np.arange(n, dtype=np.int64)
-    base, starts, lengths = adjacency.meta_for(rows)
-    return base, starts, lengths, n
+    degrees, slots = view.gather_neighbors(key, np.arange(n, dtype=np.int64))
+    return degrees, view.adjacency(key).gather_targets(slots), n
 
 
-def _gather_edges(base, starts, lengths) -> tuple[np.ndarray, np.ndarray]:
+def _gather_edges(degrees: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Parallel (src, dst) arrays from the CSR layout."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    src = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    offsets = np.zeros(len(lengths), dtype=np.int64)
-    if len(lengths) > 1:
-        np.cumsum(lengths[:-1], out=offsets[1:])
-    within = np.arange(total, dtype=np.int64) - np.repeat(offsets, lengths)
-    dst = base[np.repeat(starts, lengths) + within]
-    return src, dst
+    return np.repeat(np.arange(len(degrees), dtype=np.int64), degrees), targets
 
 
 @register_procedure("pagerank")
@@ -66,13 +58,13 @@ def pagerank(view: GraphReadView, args: dict[str, Any]) -> FlatBlock:
     iterations = int(args.get("iterations", 30))
     tolerance = float(args.get("tolerance", 1e-9))
 
-    base, starts, lengths, n = _csr(view, vertex_label, edge_label)
+    degrees, targets, n = _csr(view, vertex_label, edge_label)
     if n == 0:
         return FlatBlock.from_dict(
             {"vertex": (DataType.INT64, []), "rank": (DataType.FLOAT64, [])}
         )
-    src, dst = _gather_edges(base, starts, lengths)
-    out_degree = lengths.astype(np.float64)
+    src, dst = _gather_edges(degrees, targets)
+    out_degree = degrees.astype(np.float64)
     dangling = out_degree == 0
 
     rank = np.full(n, 1.0 / n)
@@ -100,8 +92,8 @@ def connected_components(view: GraphReadView, args: dict[str, Any]) -> FlatBlock
     """
     vertex_label = args.get("vertex_label", "Person")
     edge_label = args.get("edge_label", "KNOWS")
-    base, starts, lengths, n = _csr(view, vertex_label, edge_label)
-    src, dst = _gather_edges(base, starts, lengths)
+    degrees, targets, n = _csr(view, vertex_label, edge_label)
+    src, dst = _gather_edges(degrees, targets)
     # Undirected view: propagate along both directions.
     all_src = np.concatenate([src, dst])
     all_dst = np.concatenate([dst, src])
@@ -130,10 +122,10 @@ def triangle_count(view: GraphReadView, args: dict[str, Any]) -> FlatBlock:
     """
     vertex_label = args.get("vertex_label", "Person")
     edge_label = args.get("edge_label", "KNOWS")
-    base, starts, lengths, n = _csr(view, vertex_label, edge_label)
+    degrees, targets, n = _csr(view, vertex_label, edge_label)
 
     neighbor_sets: list[np.ndarray] = [
-        np.unique(base[starts[v] : starts[v] + lengths[v]]) for v in range(n)
+        np.unique(chunk) for chunk in np.split(targets, np.cumsum(degrees)[:-1])
     ]
     counts = np.zeros(n, dtype=np.int64)
     for v in range(n):
@@ -157,12 +149,12 @@ def degree_distribution(view: GraphReadView, args: dict[str, Any]) -> FlatBlock:
     """Histogram of out-degrees: (degree, numVertices)."""
     vertex_label = args.get("vertex_label", "Person")
     edge_label = args.get("edge_label", "KNOWS")
-    _, _, lengths, n = _csr(view, vertex_label, edge_label)
+    degrees, _, n = _csr(view, vertex_label, edge_label)
     if n == 0:
         return FlatBlock.from_dict(
             {"degree": (DataType.INT64, []), "numVertices": (DataType.INT64, [])}
         )
-    histogram = np.bincount(lengths)
+    histogram = np.bincount(degrees)
     degrees = np.flatnonzero(histogram)
     return FlatBlock.from_dict(
         {

@@ -5,6 +5,11 @@ The paper implements traversal operators such as the ShortestPath of IC13
 (Table 2 note).  Procedures run against the graph read view, produce a flat
 block, and their internal state is *not* charged to the query's
 intermediate-result accounting — matching the paper's methodology.
+
+Every adjacency read goes through the bulk gather kernel
+(:meth:`GraphReadView.gather_neighbors`): a BFS level, a level of the
+shortest-path DAG or the messages of a set of persons is one gather with
+the view's visibility folded in, never a scalar call per vertex.
 """
 
 from __future__ import annotations
@@ -43,30 +48,54 @@ def get_procedure(name: str) -> ProcedureFn:
 
 
 _KNOWS = AdjacencyKey("Person", "KNOWS", "Person", Direction.OUT)
+_AUTHORED = AdjacencyKey("Person", "HAS_CREATOR", "Message", Direction.IN)
+_REPLY_OF = AdjacencyKey("Message", "REPLY_OF", "Message", Direction.OUT)
+_HAS_CREATOR = AdjacencyKey("Message", "HAS_CREATOR", "Person", Direction.OUT)
+
+
+def _gather_rows(
+    view: GraphReadView, key: AdjacencyKey, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(counts, targets)``: the visible neighbours of every row in *rows*,
+    row i owning ``counts[i]`` consecutive targets in adjacency order."""
+    counts, slots = view.gather_neighbors(key, rows)
+    return counts, view.adjacency(key).gather_targets(slots)
+
+
+def _first_targets(
+    view: GraphReadView, key: AdjacencyKey, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(has, first)``: which rows have a visible neighbour, and the first
+    one (adjacency order) of each row that has."""
+    counts, targets = _gather_rows(view, key, rows)
+    has = counts > 0
+    return has, targets[(np.cumsum(counts) - counts)[has]]
 
 
 def _bfs_levels(
     view: GraphReadView, start_row: int, goal_row: int | None = None, max_depth: int | None = None
-) -> tuple[dict[int, int], int]:
-    """BFS over KNOWS; returns (row -> depth, depth of goal or -1)."""
-    depths = {start_row: 0}
-    frontier = [start_row]
+) -> tuple[np.ndarray, int]:
+    """Level-synchronous BFS over KNOWS: one gather per level.
+
+    Returns ``(depths, goal depth or -1)``; ``depths`` is dense over Person
+    rows, -1 for unreached.  The search stops at the top of the level after
+    the goal is reached, or once *max_depth* levels are expanded.
+    """
+    depths = np.full(len(view.store.table("Person")), -1, dtype=np.int64)
+    depths[start_row] = 0
+    frontier = np.array([start_row], dtype=np.int64)
     depth = 0
-    while frontier:
-        if goal_row is not None and goal_row in depths:
-            return depths, depths[goal_row]
+    while len(frontier):
+        if goal_row is not None and depths[goal_row] >= 0:
+            break
         if max_depth is not None and depth >= max_depth:
             break
         depth += 1
-        next_frontier: list[int] = []
-        for row in frontier:
-            for neighbor in view.neighbors(_KNOWS, row):
-                neighbor = int(neighbor)
-                if neighbor not in depths:
-                    depths[neighbor] = depth
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-    goal_depth = depths.get(goal_row, -1) if goal_row is not None else -1
+        _, reached = _gather_rows(view, _KNOWS, frontier)
+        reached = np.unique(reached)
+        frontier = reached[depths[reached] < 0]
+        depths[frontier] = depth
+    goal_depth = int(depths[goal_row]) if goal_row is not None else -1
     return depths, goal_depth
 
 
@@ -87,50 +116,72 @@ def shortest_path_length(view: GraphReadView, args: dict[str, Any]) -> FlatBlock
 def _enumerate_shortest_paths(
     view: GraphReadView, src: int, dst: int, max_paths: int = 1000
 ) -> list[list[int]]:
-    """All shortest KNOWS paths src->dst (row indices), capped at max_paths."""
+    """All shortest KNOWS paths src->dst (row indices), capped at max_paths.
+
+    The shortest-path DAG is read backwards from *dst* one depth level per
+    gather; each row's predecessors keep adjacency order, so the DFS emits
+    paths in the order a per-vertex walk would (which decides the cut when
+    *max_paths* truncates).
+    """
     depths, goal_depth = _bfs_levels(view, src, goal_row=dst)
     if goal_depth < 0:
         return []
-    if goal_depth == 0:
-        return [[src]]
-    # Walk backwards from dst along strictly-decreasing depth.
+    predecessors: dict[int, list[int]] = {}
+    level = np.array([dst], dtype=np.int64)
+    for depth in range(goal_depth, 0, -1):
+        counts, targets = _gather_rows(view, _KNOWS, level)
+        keep = depths[targets] == depth - 1
+        kept = np.repeat(np.arange(len(level)), counts)[keep]
+        preds = targets[keep]
+        bounds = np.searchsorted(kept, np.arange(len(level) + 1))
+        for i, row in enumerate(level.tolist()):
+            predecessors[row] = preds[bounds[i] : bounds[i + 1]].tolist()
+        level = np.unique(preds)
     paths: list[list[int]] = []
     stack: list[list[int]] = [[dst]]
     while stack and len(paths) < max_paths:
         partial = stack.pop()
         head = partial[-1]
-        head_depth = depths[head]
-        if head_depth == 0:
-            paths.append(list(reversed(partial)))
+        if head == src:
+            paths.append(partial[::-1])
             continue
-        for neighbor in view.neighbors(_KNOWS, head):
-            neighbor = int(neighbor)
-            if depths.get(neighbor, -1) == head_depth - 1:
-                stack.append(partial + [neighbor])
+        for pred in predecessors[head]:
+            stack.append(partial + [pred])
     return paths
 
 
-def _interaction_weight(view: GraphReadView, a: int, b: int) -> float:
-    """LDBC IC14 pair weight: 1.0 per reply-to-post, 0.5 per reply-to-comment
-    between persons *a* and *b* (both directions)."""
-    creator_in = AdjacencyKey("Person", "HAS_CREATOR", "Message", Direction.IN)
-    reply_of = AdjacencyKey("Message", "REPLY_OF", "Message", Direction.OUT)
-    has_creator = AdjacencyKey("Message", "HAS_CREATOR", "Person", Direction.OUT)
-    table = view.store.table("Message")
-    is_post = table.column("isPost").view()
+def _path_weights(view: GraphReadView, paths: np.ndarray, persons: np.ndarray) -> np.ndarray:
+    """LDBC IC14 trust weight of every path (one row of *paths* each).
 
-    weight = 0.0
-    for author, other in ((a, b), (b, a)):
-        for message in view.neighbors(creator_in, author):
-            message = int(message)
-            parents = view.neighbors(reply_of, message)
-            if len(parents) == 0:
-                continue  # a post, not a reply
-            parent = int(parents[0])
-            parent_creators = view.neighbors(has_creator, parent)
-            if len(parent_creators) and int(parent_creators[0]) == other:
-                weight += 1.0 if bool(is_post[parent]) else 0.5
-    return weight
+    A reply by *a* to a message created by *b* weighs 1.0 when the parent
+    is a post and 0.5 when it is a comment; a hop weighs the replies of
+    both its persons to each other.  One pass over the messages of the
+    distinct *persons* (sorted) on the paths yields every hop's weight.
+    Weights are multiples of 0.5, so the sums are exact in any order.
+    """
+    counts, messages = _gather_rows(view, _AUTHORED, persons)
+    authors = np.repeat(persons, counts)
+    is_reply, parents = _first_targets(view, _REPLY_OF, messages)
+    authors = authors[is_reply]
+    has_creator, creators = _first_targets(view, _HAS_CREATOR, parents)
+    authors, parents = authors[has_creator], parents[has_creator]
+    among = np.isin(creators, persons)
+    is_post = view.store.table("Message").column("isPost").view()
+    replies = np.where(is_post[parents[among]].astype(bool), 1.0, 0.5)
+    # Directed (author, creator) pairs as one int64 key each, plus a
+    # sentinel past every real key so each lookup lands in range.
+    n = len(view.store.table("Person"))
+    keys, inverse = np.unique(authors[among] * n + creators[among], return_inverse=True)
+    sums = np.append(np.bincount(inverse, weights=replies, minlength=len(keys)), 0.0)
+    keys = np.append(keys, np.iinfo(np.int64).max)
+
+    def directed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        wanted = a * n + b
+        at = np.searchsorted(keys, wanted)
+        return np.where(keys[at] == wanted, sums[at], 0.0)
+
+    a, b = paths[:, :-1], paths[:, 1:]
+    return (directed(a, b) + directed(b, a)).sum(axis=1)
 
 
 @register_procedure("weighted_shortest_paths")
@@ -142,25 +193,18 @@ def weighted_shortest_paths(view: GraphReadView, args: dict[str, Any]) -> FlatBl
     """
     src = view.vertex_by_key("Person", int(args["person1_id"]))
     dst = view.vertex_by_key("Person", int(args["person2_id"]))
-    if src is None or dst is None:
+    paths = [] if src is None or dst is None else _enumerate_shortest_paths(view, src, dst)
+    if not paths:
         return FlatBlock.from_dict(
             {"pathPersonIds": (DataType.STRING, []), "pathWeight": (DataType.FLOAT64, [])}
         )
-    paths = _enumerate_shortest_paths(view, src, dst)
-    pair_cache: dict[tuple[int, int], float] = {}
-
-    def pair_weight(x: int, y: int) -> float:
-        key = (x, y) if x <= y else (y, x)
-        if key not in pair_cache:
-            pair_cache[key] = _interaction_weight(view, key[0], key[1])
-        return pair_cache[key]
-
-    ids: list[str] = []
-    weights: list[float] = []
-    for path in paths:
-        keys = [view.vertex_key("Person", row) for row in path]
-        ids.append(",".join(str(k) for k in keys))
-        weights.append(sum(pair_weight(path[i], path[i + 1]) for i in range(len(path) - 1)))
+    # Shortest paths all have the same length: one row per path.
+    rows = np.asarray(paths, dtype=np.int64)
+    persons = np.unique(rows)
+    pk = view.schema.vertex_label("Person").primary_key
+    keys = [str(k) for k in view.gather_properties("Person", pk, persons).tolist()]
+    ids = [",".join(keys[i] for i in path) for path in np.searchsorted(persons, rows).tolist()]
+    weights = _path_weights(view, rows, persons).tolist()
     order = sorted(range(len(paths)), key=lambda i: (-weights[i], ids[i]))
     return FlatBlock.from_dict(
         {
@@ -178,7 +222,5 @@ def khop_neighborhood(view: GraphReadView, args: dict[str, Any]) -> FlatBlock:
     if src is None:
         return FlatBlock.from_dict({"person": (DataType.INT64, [])})
     depths, _ = _bfs_levels(view, src, max_depth=k)
-    rows = sorted(row for row, depth in depths.items() if 0 < depth <= k)
-    return FlatBlock.from_dict(
-        {"person": (DataType.INT64, np.asarray(rows, dtype=np.int64))}
-    )
+    rows = np.flatnonzero((depths > 0) & (depths <= k)).astype(np.int64)
+    return FlatBlock.from_dict({"person": (DataType.INT64, rows)})

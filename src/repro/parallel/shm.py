@@ -268,22 +268,14 @@ def _export_column(
     values = column.view()
     mask = column.validity_mask()
     if needs_patch:
+        # The view's own bulk read resolves the pre-images of these rows;
+        # writing it back over the live values pins the column.
+        rows = np.fromiter((r for r in patched_rows if r < count), dtype=np.int64)
+        pinned, pinned_valid = view.gather_properties_with_validity(label, column.name, rows)
         values = values.copy()
+        values[rows] = pinned
         mask = mask.copy() if mask is not None else np.ones(count, dtype=bool)
-        for row in patched_rows:
-            if row >= count:
-                continue
-            overridden, value = view.overlay.resolve(
-                label, row, column.name, view.version
-            )
-            if not overridden:
-                continue
-            if value is None:
-                mask[row] = False
-                values[row] = column.dtype.fill_value()
-            else:
-                mask[row] = True
-                values[row] = value
+        mask[rows] = True if pinned_valid is None else pinned_valid
         if mask.all():
             mask = None
     if values.dtype == object:

@@ -1,7 +1,7 @@
 """Graph storage layer: catalog, columnar vertex tables, adjacency lists,
 memory pool, and versioned read views (paper §5, Figure 9)."""
 
-from .adjacency import AdjacencyList, AdjacencySegment, MAX_VERSION, TOMBSTONE
+from .adjacency import AdjacencyList, MAX_VERSION, TOMBSTONE
 from .catalog import (
     AdjacencyKey,
     Direction,
@@ -18,7 +18,6 @@ from .properties import PropertyColumn, VertexTable
 __all__ = [
     "AdjacencyKey",
     "AdjacencyList",
-    "AdjacencySegment",
     "DEFAULT_POOL",
     "Direction",
     "EdgeLabelDef",

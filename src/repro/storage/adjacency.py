@@ -65,29 +65,6 @@ def _visible(
     return mask
 
 
-class AdjacencySegment:
-    """A ``(pointer, length)`` reference into ``adjArray`` (paper §5).
-
-    This is the unit the factorized executor stores in lazy neighbor columns
-    instead of copying ids.  ``array`` aliases the storage's live buffer;
-    callers must treat it as read-only.
-    """
-
-    __slots__ = ("array", "start", "length")
-
-    def __init__(self, array: np.ndarray, start: int, length: int) -> None:
-        self.array = array
-        self.start = start
-        self.length = length
-
-    def materialize(self) -> np.ndarray:
-        """Copy the referenced neighbor row indices out of ``adjArray``."""
-        return self.array[self.start : self.start + self.length].copy()
-
-    def __len__(self) -> int:
-        return self.length
-
-
 class AdjacencyList:
     """Neighbors for all source vertices of one adjacency key."""
 
@@ -211,21 +188,10 @@ class AdjacencyList:
 
     # -- reads ---------------------------------------------------------------
 
-    def segment(self, src_row: int) -> AdjacencySegment:
-        """Pointer-based reference to *src_row*'s neighbor slice.
-
-        Only valid on lists without tombstones or version stamps (the
-        bulk-loaded read path); otherwise use :meth:`neighbors`.
-        """
-        if src_row < 0 or src_row >= self._num_src:
-            return AdjacencySegment(self._targets, 0, 0)
-        return AdjacencySegment(
-            self._targets, int(self._offsets[src_row]), int(self._lengths[src_row])
-        )
-
     @property
     def supports_segments(self) -> bool:
-        """True when zero-copy segments are exact (no tombstones/versions)."""
+        """True when adjMeta's raw ``(offset, length)`` slices are exact, so
+        the pointer-based join may use them (no tombstones/versions)."""
         return not self._has_tombstones and self._created is None
 
     def meta_for(self, src_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -11,12 +11,12 @@ vertex properties through the overlay the transaction layer installs.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Protocol
+from typing import Any, Mapping, Protocol
 
 import numpy as np
 
 from ..errors import SchemaError, StorageError
-from .adjacency import AdjacencyList, AdjacencySegment
+from .adjacency import AdjacencyList
 from .catalog import AdjacencyKey, Direction, EdgeLabelDef, GraphSchema
 from .properties import VertexTable
 
@@ -326,31 +326,8 @@ class GraphReadView:
         """``(counts, slots)`` of every source in *rows* at this view's version."""
         return self.store.adjacency(key).gather(rows, self.version)
 
-    def segment(self, key: AdjacencyKey, src_row: int) -> AdjacencySegment | None:
-        """Zero-copy neighbor segment, or None when pointer-based access is
-        unsafe (tombstones or MVCC stamps present)."""
-        adjacency = self.store.adjacency(key)
-        if not adjacency.supports_segments:
-            return None
-        return adjacency.segment(src_row)
-
     def degree(self, key: AdjacencyKey, src_row: int) -> int:
         adjacency = self.store.adjacency(key)
         if adjacency.supports_segments:
             return adjacency.degree(src_row)
         return len(adjacency.neighbors(src_row, self.version))
-
-    # -- traversal helpers (used by stored procedures) -----------------------
-
-    def frontier_neighbors(
-        self, keys: Iterable[AdjacencyKey], rows: Iterable[int]
-    ) -> np.ndarray:
-        """Union of neighbor rows over several keys and sources (BFS step)."""
-        chunks: list[np.ndarray] = []
-        for key in keys:
-            adjacency = self.store.adjacency(key)
-            for row in rows:
-                chunks.append(adjacency.neighbors(int(row), self.version))
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(chunks))

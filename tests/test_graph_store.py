@@ -96,17 +96,6 @@ class TestReadView:
         view = micro_store.read_view()
         assert view.vertex_key("Message", 2) == 102
 
-    def test_segment_when_clean(self, micro_store):
-        view = micro_store.read_view()
-        seg = view.segment(KNOWS_OUT, 0)
-        assert seg is not None
-        assert sorted(seg.materialize().tolist()) == [1, 2]
-
-    def test_segment_none_after_tombstone(self, micro_store):
-        micro_store.remove_edge("KNOWS", VertexRef("Person", 0), VertexRef("Person", 1))
-        view = micro_store.read_view()
-        assert view.segment(KNOWS_OUT, 0) is None
-
     def test_versioned_view_hides_new_vertices(self, micro_store):
         ref = micro_store.add_vertex("Person", {"id": 77, "firstName": "N", "age": 2})
         micro_store.table("Person").mark_created(ref.row, 3)
@@ -116,8 +105,3 @@ class TestReadView:
         assert new.vertex_by_key("Person", 77) == ref.row
         assert ref.row not in old.all_rows("Person").tolist()
         assert ref.row in new.all_rows("Person").tolist()
-
-    def test_frontier_neighbors(self, micro_store):
-        view = micro_store.read_view()
-        reached = view.frontier_neighbors([KNOWS_OUT], [0])
-        assert sorted(reached.tolist()) == [1, 2]

@@ -68,6 +68,45 @@ class TestExportAttach:
             _unlink_segment(segment)
         assert manifest["segment"] not in system_segment_names()
 
+    def test_pinned_export_patches_pre_images(self, micro_store):
+        """A view pinned before later property commits exports the values
+        it reads itself — NULL pre-images, strings and booleans included."""
+        from repro.parallel.shm import _unlink_segment
+        from repro.txn import TransactionManager
+
+        manager = TransactionManager(micro_store)
+
+        def commit(*writes):
+            txn = manager.begin()
+            for row, name, value in writes:
+                txn.set_vertex_property("Person", row, name, value)
+            txn.commit()
+
+        commit((4, "age", None))
+        pinned = manager.versions.current()
+        commit((1, "firstName", "Z"), (1, "age", None), (1, "active", True), (4, "age", 7))
+        view = micro_store.read_view(pinned, manager.overlay)
+        rows = np.arange(len(micro_store.table("Person")))
+        manifest, segment = export_view(view)
+        try:
+            clone, seg2 = attach_snapshot(manifest)
+            try:
+                for name in micro_store.table("Person").column_names:
+                    want, want_valid = view.gather_properties_with_validity("Person", name, rows)
+                    got, got_valid = clone.read_view().gather_properties_with_validity(
+                        "Person", name, rows
+                    )
+                    valid = np.ones(len(rows), bool) if want_valid is None else want_valid
+                    assert (got_valid is None and want_valid is None) or list(got_valid) == list(valid)
+                    assert list(got[valid]) == list(want[valid]), name
+                assert micro_store.read_view().get_property("Person", 1, "firstName") == "Z"
+                assert clone.table("Person").get_property(1, "firstName") == "B"
+                assert clone.table("Person").get_property(4, "age") is None
+            finally:
+                detach_snapshot(clone, seg2)
+        finally:
+            _unlink_segment(segment)
+
     def test_numeric_columns_are_zero_copy_views(self, micro_store):
         view = micro_store.read_view(None)
         manifest, segment = export_view(view)
