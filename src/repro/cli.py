@@ -12,7 +12,7 @@ Subcommands::
     python -m repro.cli perf compare
     python -m repro.cli perf report
     python -m repro.cli flightrec --scale SF1 --ops 50 --format json
-    python -m repro.cli top --scale SF1 --workers 2 --once
+    python -m repro.cli top --scale SF1 --once
 
 ``query``, ``bench``, and ``profile`` accept either ``--scale`` (generate
 a mini-SNB graph in memory) or ``--graph DIR`` (load a snapshot written by
@@ -52,15 +52,11 @@ def _resolve_store(args: argparse.Namespace) -> tuple[GraphStore, object | None]
     return dataset.store, dataset
 
 
-def _make_engine(
-    store: GraphStore, variant: str, plan_cache: bool = True, workers: int = 1
-):
+def _make_engine(store: GraphStore, variant: str, plan_cache: bool = True):
     if variant == "Volcano":
-        if workers > 1:
-            raise SystemExit("the Volcano baseline has no worker pool")
         return VolcanoEngine(store)
     try:
-        config = VARIANTS[variant](plan_cache=plan_cache, workers=workers)
+        config = VARIANTS[variant](plan_cache=plan_cache)
     except KeyError:
         raise SystemExit(
             f"unknown variant {variant!r}; choose from {sorted(VARIANTS)} or Volcano"
@@ -89,12 +85,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     """Run one Cypher query and print rows (stats go to stderr)."""
     store, _ = _resolve_store(args)
-    engine = _make_engine(
-        store,
-        args.variant,
-        plan_cache=not args.no_plan_cache,
-        workers=args.workers,
-    )
+    engine = _make_engine(store, args.variant, plan_cache=not args.no_plan_cache)
     if engine.variant == "Volcano":
         raise SystemExit("the Volcano baseline takes logical plans, not Cypher")
     params = _parse_params(args.param)
@@ -116,18 +107,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         f"peak intermediate {result.stats.peak_intermediate_bytes} B",
         file=sys.stderr,
     )
-    if getattr(engine, "parallel", None) is not None:
-        routing = engine.parallel.describe()
-        print(
-            f"-- pool: {routing['workers']} workers, "
-            f"{routing['scatter_queries']} scatter / "
-            f"{routing['whole_queries']} whole, "
-            f"{routing['fallbacks']} fallbacks",
-            file=sys.stderr,
-        )
-    close = getattr(engine, "close", None)
-    if close is not None:
-        close()
     return 0
 
 
@@ -135,10 +114,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """Run the LDBC driver and print the throughput report."""
     dataset = generate(args.scale, seed=args.seed)
     engine = _make_engine(
-        dataset.store,
-        args.variant,
-        plan_cache=not args.no_plan_cache,
-        workers=args.workers,
+        dataset.store, args.variant, plan_cache=not args.no_plan_cache
     )
     driver = BenchmarkDriver(engine, dataset, seed=args.seed)
     report = driver.run(num_operations=args.ops)
@@ -146,7 +122,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"{args.variant} on {args.scale}: {len(report.logs)} ops in "
         f"{report.wall_seconds:.2f}s, closed-loop {report.closed_loop_throughput:.0f} "
         f"ops/s, TCR score {report.throughput_score(args.workers):.0f} ops/s "
-        f"({args.workers} worker{'s' if args.workers != 1 else ''})"
+        f"({args.workers} simulated worker{'s' if args.workers != 1 else ''})"
     )
     for category in ("IC", "IS", "IU"):
         summary = report.latency_summary(category=category)
@@ -169,17 +145,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     else:
         print("  plan cache: disabled")
-    if getattr(engine, "parallel", None) is not None:
-        routing = engine.parallel.describe()
-        print(
-            f"  pool: {routing['workers']} workers, "
-            f"{routing['pooled_queries']} pooled queries "
-            f"({routing['scatter_queries']} scatter), "
-            f"{routing['fallbacks']} fallbacks"
-        )
-    close = getattr(engine, "close", None)
-    if close is not None:
-        close()
     return 0
 
 
@@ -257,13 +222,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     for variant in variants:
         # Fresh store per variant: the stream's IU inserts mutate it.
         dataset = generate(args.scale, seed=args.seed)
-        engine = _make_engine(dataset.store, variant, workers=args.workers)
-        try:
-            BenchmarkDriver(engine, dataset, seed=args.seed).run(args.ops)
-        finally:
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
+        engine = _make_engine(dataset.store, variant)
+        BenchmarkDriver(engine, dataset, seed=args.seed).run(args.ops)
     registry = get_registry()
     if args.format in ("prom", "both"):
         print(prometheus_text(registry), end="")
@@ -469,9 +429,9 @@ def cmd_flightrec(args: argparse.Namespace) -> int:
 
 
 def cmd_top(args: argparse.Namespace) -> int:
-    """Live process dashboard: pool health, latency percentiles, events.
+    """Live process dashboard: latency percentiles and recent events.
 
-    Runs an LDBC workload on a (optionally pooled) engine and renders the
+    Runs an LDBC workload on one engine and renders the
     ``repro.obs.top`` dashboard over the process metrics registry and the
     structured event log.  ``--once`` runs the workload to completion and
     prints a single frame (the CI smoke mode); without it the frame is
@@ -480,20 +440,13 @@ def cmd_top(args: argparse.Namespace) -> int:
     from .obs.top import render_top_frame, run_top
 
     dataset = generate(args.scale, seed=args.seed)
-    engine = _make_engine(dataset.store, args.variant, workers=args.workers)
+    engine = _make_engine(dataset.store, args.variant)
     driver = BenchmarkDriver(engine, dataset, seed=args.seed)
-    try:
-        if args.once:
-            driver.run(args.ops)
-            print(render_top_frame(event_limit=args.events))
-        else:
-            run_top(
-                lambda: driver.run(args.ops), interval_s=args.interval
-            )
-    finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+    if args.once:
+        driver.run(args.ops)
+        print(render_top_frame(event_limit=args.events))
+    else:
+        run_top(lambda: driver.run(args.ops), interval_s=args.interval)
     return 0
 
 
@@ -567,12 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--param", action="append", metavar="NAME=VALUE")
     query.add_argument("--format", choices=("table", "json"), default="table")
     query.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for scatter-gather execution (1 = in-process)",
-    )
-    query.add_argument(
         "--no-plan-cache", action="store_true", help="disable the plan cache (ablation)"
     )
     query.set_defaults(fn=cmd_query)
@@ -586,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes: pools the engine and scales the TCR score",
+        help="simulated workers for the TCR score (queries still run in-process)",
     )
     bench.add_argument(
         "--no-plan-cache", action="store_true", help="disable the plan cache (ablation)"
@@ -620,12 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--seed", type=int, default=7)
     metrics.add_argument(
         "--variant", default="GES_f*", help="engine variant, or 'all' for all three"
-    )
-    metrics.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes (pool-health gauges light up when > 1)",
     )
     metrics.add_argument("--format", choices=("prom", "json", "both"), default="prom")
     metrics.set_defaults(fn=cmd_metrics)
@@ -738,18 +679,12 @@ def build_parser() -> argparse.ArgumentParser:
     flightrec.set_defaults(fn=cmd_flightrec)
 
     top = sub.add_parser(
-        "top", help="live dashboard: pool health, latency percentiles, events"
+        "top", help="live dashboard: latency percentiles, recent events"
     )
     top.add_argument("--scale", default="SF1", choices=sorted(SCALE_FACTORS))
     top.add_argument("--ops", type=int, default=50)
     top.add_argument("--seed", type=int, default=7)
     top.add_argument("--variant", default="GES_f*")
-    top.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes (pool-health section lights up when > 1)",
-    )
     top.add_argument(
         "--once",
         action="store_true",

@@ -20,11 +20,6 @@ class EngineConfig:
     executor: str = "factorized"  # execution.executor module
     optimizer: str = "fusion"  # execution.optimizer module
     parser: str = "cypher"  # frontend.parser module
-    workers: int = 1  # worker processes for pooled execution (1 = in-process)
-    # --- pooled-execution knobs (repro.parallel; active when workers > 1) ---
-    partitions: int = 0  # scatter partitions per query (0 = one per worker)
-    partition_kind: str = "range"  # "range" (byte-identical) | "hash"
-    scatter_min_rows: int = 64  # below this source size, skip scatter
     plan_cache: bool = True  # cache compiled physical plans (ablation knob)
     tracing: bool = False  # per-query span trees (repro.obs.tracing)
     metrics: bool = True  # engine-level instruments (repro.obs.metrics)

@@ -118,14 +118,6 @@ class GraphEngineService:
         #: EWMA of observed peak intermediate bytes — the admission
         #: controller's estimate of what the next query will need.
         self._mem_ewma = 0.0
-        # Pooled execution (repro.parallel): read queries route to a
-        # shared-memory worker pool when workers > 1; in-process otherwise.
-        if self.config.workers > 1:
-            from ..parallel import ParallelCoordinator
-
-            self.parallel: Any = ParallelCoordinator(self)
-        else:
-            self.parallel = None
         #: :class:`repro.durability.DurabilityManager` when this engine is
         #: backed by a durable directory (see :meth:`open`); None otherwise.
         self.durability: Any = None
@@ -214,8 +206,6 @@ class GraphEngineService:
             self._m_rejections = None
             self._m_retries = None
             self._m_degraded = None
-            self._m_pooled = None
-            self._m_pool_fallbacks = None
             self._m_inflight = None
             return
         variant = self.config.name
@@ -269,20 +259,6 @@ class GraphEngineService:
             "Queries currently executing, by engine variant.",
             variant=variant,
         )
-        if self.config.workers > 1:
-            self._m_pooled = REGISTRY.counter(
-                "ges_pooled_queries_total",
-                "Queries served on the worker pool.",
-                variant=variant,
-            )
-            self._m_pool_fallbacks = REGISTRY.counter(
-                "ges_pooled_fallbacks_total",
-                "Pooled queries that fell back to in-process execution.",
-                variant=variant,
-            )
-        else:
-            self._m_pooled = None
-            self._m_pool_fallbacks = None
 
     # -- queries --------------------------------------------------------------
 
@@ -484,23 +460,16 @@ class GraphEngineService:
             physical = self.plan(query, stats=stats)
             if view is None:
                 view = self.read_view()
-            result = (
-                self.parallel.try_execute(query, physical, view, params, stats)
-                if self.parallel is not None
-                else None
-            )
-            if result is None:  # in-process path (workers == 1, or pool fallback)
-                stats.route = "in-process"
-                if self._fallback_execute is None:
-                    result = self._execute(physical, view, params, stats)
-                else:
-                    result = with_fallback(
-                        lambda: self._execute(physical, view, params, stats),
-                        lambda: self._fallback_execute(physical, view, params, stats),
-                        on_degrade=lambda exc: self._note_degraded(
-                            stats, f"executor:{type(exc).__name__}"
-                        ),
-                    )
+            if self._fallback_execute is None:
+                result = self._execute(physical, view, params, stats)
+            else:
+                result = with_fallback(
+                    lambda: self._execute(physical, view, params, stats),
+                    lambda: self._fallback_execute(physical, view, params, stats),
+                    on_degrade=lambda exc: self._note_degraded(
+                        stats, f"executor:{type(exc).__name__}"
+                    ),
+                )
             if stats.trace is not None:
                 stats.trace.touch()
                 stats.trace.root.attrs["rows"] = len(result)
@@ -660,16 +629,10 @@ class GraphEngineService:
         return self.retry_policy.run(attempt, on_retry=self._count_retry)
 
     def close(self) -> None:
-        """Release pooled-execution resources (exported shm segments).
-
-        The shared worker pool itself stays warm for other engines; it is
-        stopped by :func:`repro.parallel.shutdown_shared_pools` or at
-        interpreter exit.  Safe to call on a non-pooled engine.  A durable
-        engine also syncs and closes its WAL writer — after ``close()``
-        returns, every batch-mode commit is on disk.
+        """Sync and close a durable engine's WAL writer — after ``close()``
+        returns, every batch-mode commit is on disk.  Safe to call on an
+        in-memory engine.
         """
-        if self.parallel is not None:
-            self.parallel.close()
         if self.durability is not None:
             self.durability.close()
 
@@ -701,11 +664,6 @@ class GraphEngineService:
                     "slow_recorded": self.flight.slow_recorded,
                 }
                 if self.flight is not None
-                else {"enabled": False}
-            ),
-            "parallel": (
-                self.parallel.describe()
-                if self.parallel is not None
                 else {"enabled": False}
             ),
             "resilience": {

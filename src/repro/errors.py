@@ -66,19 +66,6 @@ class TransientError(GesError):
     """A retryable transient failure (injected fault or recoverable glitch)."""
 
 
-class WorkerError(GesError):
-    """A pooled worker process failed to execute its task.
-
-    Raised coordinator-side when the failure has no better typed mapping
-    (library errors raised inside the worker are re-raised as their own
-    type; this class covers protocol/infrastructure failures).
-    """
-
-
-class WorkerCrash(WorkerError):
-    """A pooled worker process died mid-task (signal, OOM-kill, hard exit)."""
-
-
 class CypherSyntaxError(GesError):
     """The Cypher frontend rejected the query text."""
 

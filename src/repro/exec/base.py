@@ -66,14 +66,6 @@ class ExecStats:
         self.plan_cache_misses = 0
         self.flat_tuples = 0
         self.ftree_slots = 0
-        #: How the service routed this query: ``scatter`` / ``whole``
-        #: (worker pool), ``in-process`` (pool declined or absent), or ""
-        #: before routing has been decided.  Recorded per query so the
-        #: flight recorder can explain *why* a pooled query fell back.
-        self.route = ""
-        #: Per-partition worker timings of a scattered query:
-        #: ``(partition_index, worker_seconds, rows)`` tuples.
-        self.partition_times: list[tuple[int, float, int]] = []
         #: Every degradation reason noted for this query, in order —
         #: the always-on companion to ``degrade_count`` so the flight
         #: recorder can explain fallbacks without tracing enabled.
@@ -178,9 +170,6 @@ class ExecStats:
         self.plan_cache_misses += other.plan_cache_misses
         self.flat_tuples += other.flat_tuples
         self.ftree_slots += other.ftree_slots
-        if other.route:  # the stage that actually routed wins
-            self.route = other.route
-        self.partition_times.extend(other.partition_times)
         self.degrade_reasons.extend(other.degrade_reasons)
         if other.trace is not None:
             if self.trace is None:

@@ -140,24 +140,8 @@ def execute_flat(
     stats: ExecStats | None = None,
 ) -> QueryResult:
     """Run *plan* with flat (fully materialized) intermediate results."""
-    block, ctx = execute_flat_block(plan, view, params, stats)
+    block, ctx = _execute(plan, view, params, stats, factorize=False)
     return result_from_flat(block, plan.returns, ctx.stats)
-
-
-def execute_flat_block(
-    plan: LogicalPlan,
-    view: GraphReadView,
-    params: Mapping[str, Any] | None = None,
-    stats: ExecStats | None = None,
-) -> tuple[FlatBlock, ExecutionContext]:
-    """Run *plan* flat and return the final block before the result boundary.
-
-    The pooled scatter-gather path uses this entry point: workers execute a
-    partition-local plan and ship the raw block (arrays + validity) back to
-    the coordinator, which concatenates partials and keeps executing — so
-    no rows are forced through the Python-tuple result boundary mid-plan.
-    """
-    return _execute(plan, view, params, stats, factorize=False)
 
 
 def _execute(
@@ -187,11 +171,7 @@ def _execute(
 
 
 def run_ops(state: PipelineState, ops: Sequence[LogicalOp], ctx: ExecutionContext) -> None:
-    """The driver loop: evaluate *ops* in order, updating *state* in place.
-
-    Also drives the scatter path's suffix re-run, over a state seeded with
-    the merged partial blocks.
-    """
+    """The driver loop: evaluate *ops* in order, updating *state* in place."""
     for op in ops:
         with OpTimer(ctx, op.op_name) as timer:
             # A pipeline that started flat pipes tuples between operators,

@@ -1,9 +1,9 @@
 """Structured lifecycle event log: what *happened* to the service, in order.
 
 Metrics answer "how much" and spans answer "where did this query spend its
-time"; neither answers "what happened to the service" — a worker was
-kill -9'd and respawned, a snapshot export was retired, admission started
-rejecting, a chaos fault fired.  Those are discrete lifecycle *events*, and
+time"; neither answers "what happened to the service" — a checkpoint was
+written, recovery replayed the WAL, admission started rejecting, a chaos
+fault fired.  Those are discrete lifecycle *events*, and
 this module records them as one process-wide, append-only sequence:
 
 * every event gets a monotonically increasing ``seq`` under one lock, so
@@ -17,12 +17,7 @@ Determinism: an event's identity is ``(kind, attrs)``; ``seq`` ordering is
 deterministic whenever the emitting code is (the seeded chaos campaign,
 the deterministic stress scheduler).  Wall-clock timestamps ride along for
 operators but are excluded from determinism comparisons — tests compare
-``(kind, attrs)`` sequences, never timestamps or pids.
-
-Worker processes inherit a (forked) copy of this log; :func:`EventLog.drain`
-lets the pool ship a worker's events back with each task reply so the
-coordinator can fold them into the service-wide sequence (tagged with the
-worker's pid).
+``(kind, attrs)`` sequences, never timestamps.
 """
 
 from __future__ import annotations
@@ -37,15 +32,6 @@ from .clock import wall_time
 #: Version stamp on every serialized event so downstream parsers can
 #: detect drift (the flight-recorder convention).
 EVENT_SCHEMA_VERSION = 1
-
-#: Attribute keys that identify the emitting process/worker rather than
-#: the event itself — excluded from determinism comparisons.  Segment
-#: names (``snapshot``) carry a per-process random suffix, so they are
-#: process identity too.
-NONDETERMINISTIC_ATTRS = frozenset(
-    {"pid", "old_pid", "new_pid", "worker_pid", "snapshot"}
-)
-
 
 class Event:
     """One lifecycle event: sequence number, wall time, kind, attributes."""
@@ -62,18 +48,9 @@ class Event:
         return {"seq": self.seq, "wall": self.wall, "kind": self.kind, **self.attrs}
 
     def identity(self) -> tuple[str, tuple[tuple[str, Any], ...]]:
-        """The deterministic projection of this event: kind + attrs, with
-        process-identity attributes (pids) stripped."""
-        return (
-            self.kind,
-            tuple(
-                sorted(
-                    (k, v)
-                    for k, v in self.attrs.items()
-                    if k not in NONDETERMINISTIC_ATTRS
-                )
-            ),
-        )
+        """The deterministic projection of this event: kind + sorted attrs,
+        without the sequence number and wall time."""
+        return (self.kind, tuple(sorted(self.attrs.items())))
 
     def __repr__(self) -> str:
         attrs = " ".join(f"{k}={v}" for k, v in self.attrs.items())
@@ -111,22 +88,6 @@ class EventLog:
                 pass  # a broken sink must never take the service down
         return event
 
-    def absorb(self, payloads: Iterable[dict[str, Any]], **extra: Any) -> list[Event]:
-        """Fold events shipped from another process into this log.
-
-        Each payload is an :meth:`Event.to_dict` shape; the foreign ``seq``
-        and ``wall`` are dropped (this log assigns its own total order) and
-        *extra* attributes — typically ``worker_pid`` — tag the source.
-        """
-        folded = []
-        for payload in payloads:
-            attrs = {
-                k: v for k, v in payload.items() if k not in ("seq", "wall", "kind")
-            }
-            attrs.update(extra)
-            folded.append(self.emit(payload.get("kind", "unknown"), **attrs))
-        return folded
-
     # -- reading ------------------------------------------------------------
 
     def tail(self, n: int | None = None) -> list[Event]:
@@ -136,17 +97,6 @@ class EventLog:
         if n is not None:
             events = events[-n:]
         return events
-
-    def drain(self) -> list[dict[str, Any]]:
-        """Remove and return every retained event as JSON-ready dicts.
-
-        The worker-pool shipping primitive: a worker drains its log after
-        each task and sends the payloads back with the reply.
-        """
-        with self._lock:
-            events = list(self._ring)
-            self._ring.clear()
-        return [e.to_dict() for e in events]
 
     def dump(self) -> dict[str, Any]:
         """JSON-ready snapshot of the retained ring (newest last)."""
@@ -190,7 +140,7 @@ class EventLog:
         return self._sink_path
 
     def clear(self) -> None:
-        """Drop the ring and rewind the sequence (tests / worker boot).
+        """Drop the ring and rewind the sequence (tests, seeded campaigns).
 
         Rewinding ``seq`` is what makes seeded campaigns comparable run to
         run: same seed, same code path, same event sequence numbers.

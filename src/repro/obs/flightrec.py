@@ -37,7 +37,7 @@ from .clock import wall_time
 from .tracing import Span
 
 #: Version stamp on every dump so downstream parsers can detect drift.
-FLIGHT_DUMP_SCHEMA_VERSION = 1
+FLIGHT_DUMP_SCHEMA_VERSION = 2
 
 
 class FlightRecord:
@@ -152,9 +152,7 @@ class FlightRecorder:
                 "plan_cache_misses": stats.plan_cache_misses,
                 "flat_tuples": stats.flat_tuples,
                 "ftree_slots": stats.ftree_slots,
-                "route": stats.route,
                 # Copied: the list on stats keeps growing on multi-stage use.
-                "partition_times": list(stats.partition_times),
                 "degrade_reasons": list(stats.degrade_reasons),
             },
             metrics_snapshot=dict(metrics_snapshot or {}),
@@ -205,22 +203,15 @@ def render_flight_dump(dump: dict[str, Any], ops: bool = True) -> str:
             flag = " SLOW" if record["slow"] else ""
             traced = " [traced]" if record.get("span_tree") else ""
             stats = record.get("stats", {})
-            route = stats.get("route") or ""
-            route_note = f" [{route}]" if route else ""
             lines.append(
                 f"  #{record['sequence']:<5} {record['variant']:<8} "
                 f"{record['ms']:>9.3f} ms  rows={record['rows']}"
-                f"{flag}{traced}{route_note}  {record['query']}"
+                f"{flag}{traced}  {record['query']}"
             )
             reasons = stats.get("degrade_reasons") or []
             if reasons:
                 lines.append(f"      degraded: {', '.join(reasons)}")
             if ops:
-                for index, seconds, rows in stats.get("partition_times") or []:
-                    lines.append(
-                        f"      partition[{index}] {seconds * 1e3:>9.3f} ms"
-                        f"  rows={rows}"
-                    )
                 for op in record["ops"]:
                     lines.append(
                         f"      {op['op']:<20} {op['seconds'] * 1e3:>9.3f} ms"

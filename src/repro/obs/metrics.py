@@ -321,89 +321,6 @@ class MetricsRegistry:
 REGISTRY = MetricsRegistry()
 
 
-# ---------------------------------------------------------------------------
-# Cross-process counter shipping
-#
-# Worker processes inherit a (forked) copy of the registry, so their
-# counters advance invisibly to the coordinator.  The shipping discipline:
-# snapshot the worker's counters before a task, compute the deltas after,
-# send the deltas with the reply, and apply them coordinator-side — a
-# delta is applied exactly once per *successful* reply, so a worker killed
-# mid-task (no reply) can never double-count when it is respawned and the
-# task retried.  Only counters ship: gauges describe the *local* process
-# and histograms would need bucket merging nobody has asked for yet.
-
-
-def counter_snapshot(
-    registry: MetricsRegistry | None = None,
-) -> dict[tuple[str, LabelKey], float]:
-    """Point-in-time values of every counter in *registry*."""
-    registry = registry if registry is not None else REGISTRY
-    snapshot: dict[tuple[str, LabelKey], float] = {}
-    for family in registry.families():
-        if family.kind != "counter":
-            continue
-        for labels, counter in family.instruments.items():
-            snapshot[(family.name, labels)] = counter.value
-    return snapshot
-
-
-def counter_deltas(
-    before: dict[tuple[str, LabelKey], float],
-    registry: MetricsRegistry | None = None,
-) -> list[tuple[str, dict[str, str], float]]:
-    """Counter increments since *before*, as a picklable payload.
-
-    Each entry is ``(name, labels-dict, delta)``; unchanged counters are
-    omitted, so an idle worker ships an empty list.
-    """
-    deltas: list[tuple[str, dict[str, str], float]] = []
-    for (name, labels), value in counter_snapshot(registry).items():
-        delta = value - before.get((name, labels), 0.0)
-        if delta > 0:
-            deltas.append((name, dict(labels), delta))
-    return deltas
-
-
-def drain_counter_deltas(
-    baseline: dict[tuple[str, LabelKey], float],
-    registry: MetricsRegistry | None = None,
-) -> list[tuple[str, dict[str, str], float]]:
-    """Counter increments since *baseline*, updating *baseline* in place.
-
-    The worker-side hot path: one registry walk per task.  A worker takes
-    one :func:`counter_snapshot` at boot and drains against it after every
-    task, instead of paying a snapshot walk before plus a delta walk after
-    — every increment still ships at most once, because the baseline
-    advances in the same pass that emits the delta.
-    """
-    registry = registry if registry is not None else REGISTRY
-    deltas: list[tuple[str, dict[str, str], float]] = []
-    for family in registry.families():
-        if family.kind != "counter":
-            continue
-        for labels, counter in family.instruments.items():
-            key = (family.name, labels)
-            value = counter.value
-            delta = value - baseline.get(key, 0.0)
-            if delta > 0:
-                deltas.append((family.name, dict(labels), delta))
-                baseline[key] = value
-    return deltas
-
-
-def apply_counter_deltas(
-    deltas: list[tuple[str, dict[str, str], float]] | None,
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Fold shipped counter deltas into *registry* (coordinator side)."""
-    if not deltas:
-        return
-    registry = registry if registry is not None else REGISTRY
-    for name, labels, delta in deltas:
-        registry.counter(name, **labels).inc(delta)
-
-
 def get_registry() -> MetricsRegistry:
     """The process-wide default :class:`MetricsRegistry`."""
     return REGISTRY

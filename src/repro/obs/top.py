@@ -7,15 +7,12 @@ serves three masters:
 * the interactive ``repro top`` loop (redrawn every ``--interval``
   seconds while a workload runs);
 * the one-shot ``repro top --once`` mode CI calls to assert the
-  dashboard renders without error on a real pooled workload;
+  dashboard renders without error on a real workload;
 * tests, which render a frame into a string and grep it.
 
 Sections: per-variant query service (throughput, in-flight gauge,
-latency percentiles straight from the log-bucketed histograms), worker
-pool health (tasks / respawns / crashes / timeouts per pool, per-worker
-RSS and task counts), shared-memory snapshot lifecycle (live segment
-bytes, exporter refcounts, exports vs retires), and the newest
-structured events.  Everything shown is pulled from instruments other
+latency percentiles straight from the log-bucketed histograms) and the
+newest structured events.  Everything shown is pulled from instruments other
 subsystems already maintain — the dashboard adds no bookkeeping of its
 own to any hot path.
 """
@@ -30,16 +27,6 @@ from .metrics import MetricsRegistry, get_registry
 
 #: ANSI: clear screen + cursor home (the live loop's "redraw").
 _CLEAR = "\x1b[2J\x1b[H"
-
-
-def _fmt_bytes(n: float) -> str:
-    if n >= 1 << 30:
-        return f"{n / (1 << 30):.2f}GB"
-    if n >= 1 << 20:
-        return f"{n / (1 << 20):.1f}MB"
-    if n >= 1 << 10:
-        return f"{n / (1 << 10):.1f}KB"
-    return f"{int(n)}B"
 
 
 def _fmt_ms(seconds: float) -> str:
@@ -85,63 +72,8 @@ def _query_lines(registry: MetricsRegistry) -> list[str]:
                 f" p95={_fmt_ms(hist.percentile(95))}"
                 f" p99={_fmt_ms(hist.percentile(99))}"
             )
-        pooled = _value(registry, "ges_pooled_queries_total", variant=variant)
-        fallbacks = _value(registry, "ges_pooled_fallbacks_total", variant=variant)
-        if pooled is not None:
-            line += f"  pooled={int(pooled)}"
-            if fallbacks:
-                line += f" fallbacks={int(fallbacks)}"
         lines.append(line)
     return lines or ["  (no queries served yet)"]
-
-
-def _pool_lines(registry: MetricsRegistry) -> list[str]:
-    lines: list[str] = []
-    for labels, counter in _series(registry, "ges_pool_tasks_total"):
-        pool = labels.get("pool", "?")
-        respawns = _value(registry, "ges_pool_respawns_total", pool=pool) or 0
-        crashes = _value(registry, "ges_pool_crashes_total", pool=pool) or 0
-        timeouts = _value(registry, "ges_pool_timeouts_total", pool=pool) or 0
-        lines.append(
-            f"  pool[{pool}w] tasks={int(counter.value)}"
-            f" respawns={int(respawns)} crashes={int(crashes)}"
-            f" timeouts={int(timeouts)}"
-        )
-        for wlabels, gauge in _series(registry, "ges_worker_rss_bytes"):
-            if wlabels.get("pool") != pool:
-                continue
-            wid = wlabels.get("wid", "?")
-            rss = gauge.value
-            tasks = _value(
-                registry, "ges_worker_tasks", pool=pool, wid=wid
-            ) or 0
-            mark = "" if rss > 0 else " (gone)"
-            lines.append(
-                f"    w{wid}: rss={_fmt_bytes(rss)} tasks={int(tasks)}{mark}"
-            )
-    worker_tasks = _series(registry, "ges_worker_tasks_total")
-    if worker_tasks:
-        modes = "  ".join(
-            f"{labels.get('mode', '?')}={int(inst.value)}"
-            for labels, inst in worker_tasks
-        )
-        lines.append(f"  worker tasks by mode: {modes}")
-    return lines or ["  (no worker pool active)"]
-
-
-def _shm_lines(registry: MetricsRegistry) -> list[str]:
-    nbytes = _value(registry, "ges_shm_segment_bytes")
-    if nbytes is None:
-        return ["  (no snapshot exporter active)"]
-    segments = _value(registry, "ges_shm_segments") or 0
-    refs = _value(registry, "ges_shm_exporter_refs") or 0
-    exports = _value(registry, "ges_shm_exports_total") or 0
-    retires = _value(registry, "ges_shm_retires_total") or 0
-    return [
-        f"  segments={int(segments)} ({_fmt_bytes(nbytes)})"
-        f" inflight_refs={int(refs)}"
-        f" exports={int(exports)} retires={int(retires)}"
-    ]
 
 
 def render_top_frame(
@@ -155,10 +87,6 @@ def render_top_frame(
     lines = ["ges top — process observability"]
     lines.append("queries:")
     lines.extend(_query_lines(registry))
-    lines.append("worker pool:")
-    lines.extend(_pool_lines(registry))
-    lines.append("shared-memory snapshots:")
-    lines.extend(_shm_lines(registry))
     tail = events.tail(event_limit)
     lines.append(f"recent events ({len(tail)} of {events.emitted} emitted):")
     if tail:

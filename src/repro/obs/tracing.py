@@ -160,40 +160,3 @@ class SpanTracer:
             self.root.end is None or other_end > self.root.end
         ):
             self.root.end = other_end
-
-
-# ---------------------------------------------------------------------------
-# Cross-process span shipping
-#
-# perf_counter readings are process-local: a worker's absolute span times
-# mean nothing to the coordinator.  The wire shape therefore carries each
-# span's start/end as *offsets relative to the worker's task start*; the
-# coordinator re-anchors the whole subtree at its own dispatch time, so
-# relative structure (durations, ordering, nesting) survives exactly and
-# only the anchor carries the (bounded) pipe-latency skew.
-
-
-def span_to_wire(span: Span, base: float) -> dict[str, Any]:
-    """*span* as a picklable payload with times relative to *base*."""
-    end = span.end if span.end is not None else span.start
-    return {
-        "name": span.name,
-        "t0": span.start - base,
-        "t1": end - base,
-        "attrs": dict(span.attrs),
-        "children": [span_to_wire(child, base) for child in span.children],
-    }
-
-
-def span_from_wire(payload: dict[str, Any], anchor: float) -> Span:
-    """Rebuild a shipped span subtree, re-anchored at coordinator time."""
-    span = Span.completed(
-        payload["name"],
-        anchor + payload["t0"],
-        anchor + payload["t1"],
-        **payload["attrs"],
-    )
-    span.children = [
-        span_from_wire(child, anchor) for child in payload["children"]
-    ]
-    return span

@@ -98,42 +98,6 @@ class AdjacencyList:
         self._created: np.ndarray | None = None
         self._deleted: np.ndarray | None = None
 
-    @classmethod
-    def from_backing(
-        cls,
-        key: AdjacencyKey,
-        properties: list[PropertyDef],
-        num_src: int,
-        data_length: int,
-        offsets: np.ndarray,
-        lengths: np.ndarray,
-        targets: np.ndarray,
-        props: Mapping[str, np.ndarray],
-        prop_valid: Mapping[str, np.ndarray | None],
-        has_tombstones: bool,
-        created: np.ndarray | None,
-        deleted: np.ndarray | None,
-    ) -> "AdjacencyList":
-        """Wrap pre-built CSR arrays without copying (shared-memory attach).
-
-        The arrays are adopted as-is — typically read-only views over a
-        mapped segment.  ``capacities`` aliases ``lengths``: an attached
-        list is never mutated, so slack capacity is meaningless.
-        """
-        adjacency = cls(key, properties, num_src=0)
-        adjacency._num_src = num_src
-        adjacency._offsets = offsets
-        adjacency._lengths = lengths
-        adjacency._capacities = lengths
-        adjacency._targets = targets
-        adjacency._props = dict(props)
-        adjacency._prop_valid = dict(prop_valid)
-        adjacency._data_length = data_length
-        adjacency._has_tombstones = has_tombstones
-        adjacency._created = created
-        adjacency._deleted = deleted
-        return adjacency
-
     # -- introspection -----------------------------------------------------
 
     @property

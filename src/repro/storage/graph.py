@@ -74,9 +74,8 @@ class GraphStore:
         for definition in schema.iter_edge_definitions():
             self._register_adjacency(definition)
         # Bumped on every structural mutation (vertex/edge insert, edge
-        # delete, bulk load).  Together with a snapshot version this keys
-        # exported shared-memory snapshots: same (epoch, version) ⇒ the
-        # bytes a worker would map are identical, so the export is reusable.
+        # delete, bulk load); the oracle's bulk-loaded twin is rebuilt
+        # whenever it moves.
         self._mutation_epoch = 0
 
     @property

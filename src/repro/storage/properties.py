@@ -262,38 +262,6 @@ class PropertyColumn:
         return self._zone_map
 
     @classmethod
-    def from_backing(
-        cls,
-        name: str,
-        dtype: DataType,
-        data: np.ndarray | None,
-        validity: np.ndarray | None,
-        length: int,
-        dict_values: list[Any] | None = None,
-        dict_codes: np.ndarray | None = None,
-    ) -> "PropertyColumn":
-        """Wrap pre-built arrays without copying (shared-memory attach path).
-
-        *data* (or *dict_codes* + *dict_values* for an encoded STRING
-        column) becomes the column's backing storage as-is — typically a
-        read-only view over a mapped shared-memory segment.  The column is
-        read-only in practice: any mutation would raise on the immutable
-        backing array, which is exactly what a worker-side snapshot wants.
-        """
-        column = cls(name, dtype, capacity=1)
-        column._length = length
-        column._validity = ValidityBitmap.from_mask(validity, length)
-        if dict_codes is not None:
-            column._dict_codes = dict_codes
-            column._dict_values = list(dict_values or [])
-            column._dict_index = {v: c for c, v in enumerate(column._dict_values)}
-            column._data = np.empty(0, dtype=object)
-        else:
-            assert data is not None
-            column._data = data
-        return column
-
-    @classmethod
     def from_array(
         cls,
         name: str,
@@ -350,8 +318,8 @@ class VertexTable:
         # transactional insert; None means "all rows visible at version 0".
         self._created_versions: np.ndarray | None = None
         # Bumped on every content mutation (insert, delete, property write,
-        # bulk load).  Folded into GraphStore.mutation_epoch so exported
-        # shared-memory snapshots notice non-transactional writes too.
+        # bulk load).  Folded into GraphStore.mutation_epoch so its
+        # staleness checks notice non-transactional writes too.
         self._write_epoch = 0
 
     @property
@@ -480,35 +448,6 @@ class VertexTable:
     def set_property(self, row: int, name: str, value: Any) -> None:
         self.column(name).set(row, value)
         self._write_epoch += 1
-
-    def attach_backing(
-        self,
-        columns: Mapping[str, PropertyColumn],
-        count: int,
-        tombstones: Iterable[int],
-        created_versions: np.ndarray | None,
-    ) -> None:
-        """Adopt pre-built columns without copying (shared-memory attach).
-
-        Rebuilds the primary-key index from the attached key column; rows
-        created after the exported snapshot version stay in the index and
-        are filtered by ``is_visible`` at read time, exactly like on the
-        coordinator side.
-        """
-        self._columns = dict(columns)
-        self._count = count
-        self._tombstones = set(int(t) for t in tombstones)
-        self._created_versions = created_versions
-        self._write_epoch += 1
-        self._pk_index = {}
-        pk = self.definition.primary_key
-        if pk is not None and count:
-            keys = self._columns[pk].view()
-            valid = self._columns[pk].validity_mask()
-            for i in range(count):
-                if i in self._tombstones or (valid is not None and not valid[i]):
-                    continue
-                self._pk_index[int(keys[i])] = i
 
     # -- lookup -----------------------------------------------------------
 

@@ -341,22 +341,17 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
         # Post-chaos integrity: with faults OFF, every engine variant must
         # still agree on fresh queries over the mutated store.
         oracle = DifferentialOracle(store)
-        try:
-            final_view = store.read_view(
-                manager.versions.current(), manager.overlay
-            )
-            for k in range(config.oracle_checks):
-                probe = qgen.query(spec)
-                report.oracle_queries += 1
-                for mismatch in oracle.check(probe, view=final_view):
-                    report.violations.append(
-                        ChaosViolation(
-                            "oracle", g, -1, probe.describe(),
-                            f"post-chaos divergence: {mismatch}",
-                        )
+        final_view = store.read_view(manager.versions.current(), manager.overlay)
+        for k in range(config.oracle_checks):
+            probe = qgen.query(spec)
+            report.oracle_queries += 1
+            for mismatch in oracle.check(probe, view=final_view):
+                report.violations.append(
+                    ChaosViolation(
+                        "oracle", g, -1, probe.describe(),
+                        f"post-chaos divergence: {mismatch}",
                     )
-        finally:
-            oracle.close()  # the pooled engine holds shm segments
+                )
 
     # Concurrency under faults: seeded stress runs with injection on the
     # lock and pool sites; writers must retry and invariants must hold.

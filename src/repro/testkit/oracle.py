@@ -73,11 +73,6 @@ def _default_engines(store: GraphStore) -> dict[str, Any]:
         "GES_f*/traced": GraphEngineService(
             store, EngineConfig.ges_f_star(tracing=True)
         ),
-        # Cross-process: shared-memory worker pool, scatter forced on even
-        # for tiny fuzz graphs so both pooled paths stay under test.
-        "GES/pooled": GraphEngineService(
-            store, EngineConfig.ges(workers=2, scatter_min_rows=1)
-        ),
         "Volcano": VolcanoEngine(store),
     }
 
@@ -170,15 +165,6 @@ class DifferentialOracle:
                 f"the versioned view {len(base.rows)}",
             )
         ]
-
-    def close(self) -> None:
-        """Release engine resources — pooled engines hold exported shm
-        segments tied to this oracle's (usually throwaway) store.  Engines
-        without a ``close`` (Volcano, plain services) are left alone."""
-        for engine in self.engines.values():
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
 
     def _check_uniform_rejection(
         self, query: GeneratedQuery, view: GraphReadView, exc: Exception

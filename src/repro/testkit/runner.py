@@ -174,9 +174,6 @@ def run_fuzz(
                 report.failures.append(failure)
                 if failure.path is not None:
                     counters["corpus_entries_total"].inc()
-        # Pooled engines hold exported shm segments; release them before
-        # this graph's store goes away (other engines have no close()).
-        oracle.close()
 
     for s in range(config.stress_runs):
         stress = run_stress(StressConfig(seed=config.seed * 1000 + s))

@@ -49,12 +49,7 @@ def replay(
     oracle = (
         oracle_factory(store) if oracle_factory is not None else DifferentialOracle(store)
     )
-    try:
-        return oracle.check(query, view=view)
-    finally:
-        # Pooled engines hold exported shm segments tied to this
-        # throwaway store; the other engines have no close().
-        oracle.close()
+    return oracle.check(query, view=view)
 
 
 def shrink_failure(

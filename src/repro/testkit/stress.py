@@ -22,14 +22,6 @@ here are exactly the paper's §5 snapshot-isolation contract:
 Writers own disjoint source-vertex ranges, so the model (a commit log
 mapping version -> expected graph state) is exact without conflict
 resolution logic.
-
-With ``pooled_readers > 0`` an extra actor kind extends the
-pinned-view-stability invariant **across the process boundary**: it pins
-a version, lets later commits physically mutate the store in place, and
-only then exports the pinned view to shared memory and has a pool worker
-re-derive the full vertex/property/edge state with Cypher.  The worker
-must see exactly the pinned version — copy-on-write patch-back and MVCC
-stamp filtering have to survive the export.
 """
 
 from __future__ import annotations
@@ -68,9 +60,6 @@ class StressConfig:
     base_vertices: int = 12
     gc: bool = True
     gc_rounds: int = 8
-    #: Readers that check their pin through a shared-memory export and a
-    #: worker *process* instead of an in-process view (0 = off).
-    pooled_readers: int = 0
     #: Seeded fault plan installed for the whole run (None = no injection).
     #: Writers retry commits that fail with an injected transient or lock
     #: timeout; a batch that exhausts its retries is aborted and *not*
@@ -85,7 +74,6 @@ class StressReport:
 
     commits: int = 0
     reads: int = 0
-    pooled_reads: int = 0
     gc_runs: int = 0
     gc_released: int = 0
     final_version: int = 0
@@ -105,11 +93,8 @@ class StressReport:
             if self.fault_retries or self.dropped_batches
             else ""
         )
-        pooled = (
-            f" ({self.pooled_reads} cross-process)" if self.pooled_reads else ""
-        )
         return (
-            f"{status}: {self.commits} commits, {self.reads} pinned reads{pooled}, "
+            f"{status}: {self.commits} commits, {self.reads} pinned reads, "
             f"{self.gc_runs} GC runs ({self.gc_released} pre-images released), "
             f"{len(self.violations)} violations{injected}"
         )
@@ -294,84 +279,6 @@ def run_stress(config: StressConfig | None = None) -> StressReport:
             del pins[r]
             yield
 
-    def pooled_reader(r: int) -> Iterator[None]:
-        # Same pin discipline as reader(), but the check runs in a worker
-        # *process* against a shared-memory export taken only after later
-        # commits have already physically mutated the store under the pin.
-        from ..errors import GesError
-        from ..parallel import shared_pool
-        from ..parallel.pool import SnapshotTask, raise_worker_reply
-        from ..parallel.shm import _unlink_segment, export_view
-
-        rng = random.Random(f"{config.seed}:pooled:{r}")
-        pool = shared_pool(1)
-        key = config.readers + r  # distinct pins[] slot from plain readers
-
-        def worker_rows(manifest: dict, version: int, cypher: str) -> set:
-            reply = pool.run(
-                SnapshotTask(
-                    {
-                        "op": "exec",
-                        "mode": "whole",
-                        "cypher": cypher,
-                        "snapshot_id": manifest["snapshot_id"],
-                        "version": version,
-                    },
-                    snapshot_id=manifest["snapshot_id"],
-                    manifest=manifest,
-                ),
-                timeout_s=60.0,
-            )
-            if not reply.get("ok"):
-                raise_worker_reply(reply)
-            return {tuple(int(v) for v in row) for row in reply["rows"]}
-
-        for _ in range(config.pins_per_reader):
-            version = rng.choice([v for v in sorted(history) if v >= gc_floor[0]])
-            expected = history[version]
-            view = store.read_view(version, manager.overlay)
-            pins[key] = version
-            for _ in range(config.checks_per_pin):
-                yield  # commits mutate the store in place under the pin
-            manifest, segment = export_view(view)
-            try:
-                ids = {
-                    row: int(view.get_property("N", row, "id"))
-                    for row in range(expected.vcount)
-                }
-                want_vals = {
-                    (ids[row], expected.vals[row]) for row in range(expected.vcount)
-                }
-                got_vals = worker_rows(
-                    manifest, version, "MATCH (a:N) RETURN a.id, a.val"
-                )
-                if got_vals != want_vals:
-                    report.violations.append(
-                        f"pooled-reader-{r} @v{version}: worker vals diverged "
-                        f"(extra={sorted(got_vals - want_vals)[:4]}, "
-                        f"missing={sorted(want_vals - got_vals)[:4]})"
-                    )
-                want_edges = {(ids[s], ids[d]) for s, d in expected.edges}
-                got_edges = worker_rows(
-                    manifest, version, "MATCH (a:N)-[:E]->(b:N) RETURN a.id, b.id"
-                )
-                if got_edges != want_edges:
-                    report.violations.append(
-                        f"pooled-reader-{r} @v{version}: worker edges diverged "
-                        f"(extra={sorted(got_edges - want_edges)[:4]}, "
-                        f"missing={sorted(want_edges - got_edges)[:4]})"
-                    )
-                report.pooled_reads += 1
-            except GesError as exc:
-                report.violations.append(
-                    f"pooled-reader-{r} @v{version}: worker check failed: "
-                    f"{type(exc).__name__}: {exc}"
-                )
-            finally:
-                _unlink_segment(segment)
-            del pins[key]
-            yield
-
     def collector() -> Iterator[None]:
         for _ in range(config.gc_rounds):
             yield
@@ -383,7 +290,6 @@ def run_stress(config: StressConfig | None = None) -> StressReport:
 
     actors: list[Iterator[None]] = [writer(w) for w in range(config.writers)]
     actors += [reader(r) for r in range(config.readers)]
-    actors += [pooled_reader(r) for r in range(config.pooled_readers)]
     if config.gc:
         actors.append(collector())
 

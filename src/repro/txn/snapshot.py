@@ -169,16 +169,6 @@ class SnapshotOverlay:
                     del self._rows[label]
         return released
 
-    def overridden_vertices(self) -> list[tuple[str, int]]:
-        """(label, row) pairs currently carrying at least one pre-image.
-
-        Used by the shared-memory snapshot exporter: these are exactly the
-        vertices whose exported property values may need patching back to
-        the pinned version via :meth:`resolve`.
-        """
-        with self._lock:
-            return list(self._chains)
-
     @property
     def snapshot_count(self) -> int:
         with self._lock:

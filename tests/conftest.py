@@ -128,22 +128,6 @@ def wait_until(predicate, what: str, timeout_s: float = 60.0) -> None:
         time.sleep(0.005)
 
 
-def wait_dead(pids) -> None:
-    """Wait until every SIGKILLed *pid* is a zombie or gone (delivery is
-    asynchronous).  Reads ``/proc`` and never reaps, so the owning
-    ``multiprocessing.Process`` objects still see their children."""
-
-    def dead(pid: int) -> bool:
-        try:
-            with open(f"/proc/{pid}/stat") as handle:
-                return handle.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
-        except FileNotFoundError:
-            return True
-
-    for pid in pids:
-        wait_until(lambda: dead(pid), f"pid {pid} to die")
-
-
 @pytest.fixture
 def micro_schema() -> GraphSchema:
     return build_micro_schema()

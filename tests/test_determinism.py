@@ -110,93 +110,3 @@ class TestCrossProcessDeterminism:
 
     def test_datagen_digest_survives_restart(self):
         assert _digest_in_subprocess("_datagen_digest", 42) == _datagen_digest(42)
-
-
-# ---------------------------------------------------------------------------
-# Pooled execution: byte-identical results regardless of parallelism shape
-# ---------------------------------------------------------------------------
-
-
-class TestPooledByteIdentity:
-    """Range-partitioned scatter-gather must not leak its shape into
-    results: worker count, partition count, and merge arithmetic may not
-    change a single byte relative to in-process execution.  ``repr`` of
-    the row list is the comparison — value *types* count, not just
-    equality."""
-
-    #: One query per scatter regime: plain prefix, filtered expand,
-    #: combinable aggregate pushdown (count/min/max), order-by-limit and
-    #: bare-limit pushdown, distinct pushdown, and a non-combinable
-    #: aggregate (avg) that forces the coordinator re-run path.
-    QUERIES = [
-        "MATCH (p:Person) RETURN p.id, p.name, p.age",
-        "MATCH (p:Person)-[:KNOWS]->(f:Person) WHERE f.age > 20 "
-        "RETURN p.id, f.name",
-        "MATCH (p:Person) RETURN p.active, count(p.id)",
-        "MATCH (p:Person)-[:KNOWS]->(f:Person) "
-        "RETURN p.active, min(f.age), max(f.score)",
-        "MATCH (p:Person) RETURN p.age, p.id ORDER BY p.age, p.id LIMIT 5",
-        "MATCH (p:Person) RETURN p.name LIMIT 7",
-        "MATCH (p:Person) RETURN DISTINCT p.active",
-        "MATCH (p:Person) RETURN p.active, avg(p.age)",
-    ]
-
-    #: (workers, partitions) shapes; (1, 0) is the in-process reference.
-    SHAPES = [(1, 0), (2, 2), (2, 3), (2, 5), (4, 4), (4, 7)]
-
-    def _run_all(self, store, workers: int, partitions: int) -> list[str]:
-        from repro.engine.config import EngineConfig
-        from repro.engine.service import GraphEngineService
-
-        engine = GraphEngineService(
-            store,
-            EngineConfig.ges(
-                workers=workers, partitions=partitions, scatter_min_rows=1
-            ),
-        )
-        try:
-            return [repr(engine.execute(q).rows) for q in self.QUERIES]
-        finally:
-            engine.close()
-
-    def test_pooled_rows_byte_identical_across_shapes(self):
-        from repro.testkit.graphgen import generate_store
-
-        store, _ = generate_store(7)
-        reference = self._run_all(store, *self.SHAPES[0])
-        for workers, partitions in self.SHAPES[1:]:
-            got = self._run_all(store, workers, partitions)
-            for query, want, have in zip(self.QUERIES, reference, got):
-                assert have == want, (
-                    f"workers={workers} partitions={partitions} changed "
-                    f"bytes of {query!r}:\n  {have}\n  != {want}"
-                )
-
-    def test_hash_partitioning_preserves_bags(self):
-        """Hash partitioning gives up output order (and is refused for
-        order-sensitive tails) but must preserve the result *bag*."""
-        from repro.engine.config import EngineConfig
-        from repro.engine.service import GraphEngineService
-        from repro.ldbc.validation import rows_bag
-        from repro.testkit.graphgen import generate_store
-
-        store, _ = generate_store(7)
-        baseline = GraphEngineService(store, EngineConfig.ges())
-        hashed = GraphEngineService(
-            store,
-            EngineConfig.ges(
-                workers=2,
-                partitions=3,
-                partition_kind="hash",
-                scatter_min_rows=1,
-            ),
-        )
-        try:
-            for query in self.QUERIES:
-                want = baseline.execute(query)
-                have = hashed.execute(query)
-                if "ORDER BY" in query or "LIMIT" in query:
-                    continue  # order-sensitive: hash analysis refuses these
-                assert rows_bag(have.rows) == rows_bag(want.rows), query
-        finally:
-            hashed.close()

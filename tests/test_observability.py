@@ -3,7 +3,8 @@
 Covers the metric primitives (counters, gauges, log-bucketed histograms
 and their percentile estimates), the per-query span tracer, the
 Prometheus/JSON exporters, the engine's metric wiring, the
-ExecStats.merge round-trip guarantee, and the single-clock-source rule.
+ExecStats.merge round-trip guarantee, the single-clock-source rule, the
+lifecycle event log's deterministic identity, and ``repro top``.
 """
 
 from __future__ import annotations
@@ -563,3 +564,92 @@ class TestClockSource:
         from repro.obs.clock import now
 
         assert now is time.perf_counter
+
+
+# ---------------------------------------------------------------------------
+# lifecycle event log
+# ---------------------------------------------------------------------------
+
+
+class TestEventLog:
+    def test_event_sequence_is_deterministic_under_seeded_chaos(self):
+        from repro.obs.events import EVENTS
+        from repro.testkit.chaos import ChaosConfig, run_chaos
+
+        config = ChaosConfig(
+            seed=11,
+            iterations=16,
+            graphs=1,
+            fault_probability=0.3,
+            stress_runs=0,  # threads would race the total order
+            oracle_checks=2,
+        )
+        sequences = []
+        for _ in range(2):
+            EVENTS.clear()
+            report = run_chaos(config)
+            assert report.passed, report.summary()
+            sequences.append([e.identity() for e in EVENTS.tail()])
+        first, second = sequences
+        assert first, "seeded chaos must emit lifecycle events"
+        assert any(kind == "fault_fired" for kind, _ in first)
+        assert first == second
+
+    def test_identity_is_kind_and_sorted_attrs_without_seq_or_wall(self):
+        from repro.obs.events import EventLog
+
+        log = EventLog()
+        first = log.emit("fault_fired", site="locks.acquire", ordinal=3)
+        second = log.emit("fault_fired", ordinal=3, site="locks.acquire")
+        assert first.seq != second.seq
+        assert first.identity() == second.identity()
+        assert first.identity() == (
+            "fault_fired", (("ordinal", 3), ("site", "locks.acquire"))
+        )
+
+
+# ---------------------------------------------------------------------------
+# `repro top`: one frame is a pure read; the CLI smoke mode exits 0
+# ---------------------------------------------------------------------------
+
+
+class TestTop:
+    def test_frame_renders_query_and_event_sections(self, dataset, person_id):
+        from repro.obs.top import render_top_frame
+
+        engine = GES(dataset.store, EngineConfig.ges_f_star())
+        engine.execute(
+            "MATCH (p:Person) WHERE p.id = $id RETURN p.firstName AS n",
+            {"id": person_id},
+        )
+        frame = render_top_frame()
+        assert "ges top" in frame
+        assert "queries:" in frame
+        assert "served=" in frame
+        assert "recent events" in frame
+        assert "worker pool" not in frame
+        assert "shared-memory" not in frame
+
+    def test_run_top_renders_frames_and_reraises_work_failure(self):
+        import io
+        import time
+
+        from repro.obs.top import run_top
+
+        out = io.StringIO()
+        run_top(lambda: time.sleep(0.05), interval_s=0.01, out=out)
+        assert "ges top" in out.getvalue()
+
+        def boom():
+            raise ValueError("workload failed")
+
+        with pytest.raises(ValueError, match="workload failed"):
+            run_top(boom, interval_s=0.01, out=io.StringIO())
+
+    def test_cli_top_once_exits_zero(self, capsys):
+        from repro.cli import main as cli_main
+
+        assert cli_main(["top", "--scale", "SF1", "--ops", "10", "--once"]) == 0
+        out = capsys.readouterr().out
+        assert "ges top" in out
+        assert "served=" in out
