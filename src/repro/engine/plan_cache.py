@@ -17,7 +17,14 @@ fingerprint.
 
 Two kinds of query keys exist:
 
-* Cypher text — the text itself is the fingerprint (cheap and exact);
+* Cypher text — keyed on its literal-free *shape*
+  (:func:`repro.frontend.cypher.lexer.normalize`): every INT / FLOAT /
+  STRING literal in a WHERE clause or a ``{...}`` property map becomes a
+  hidden ``$__lit<i>`` parameter, so texts that differ only in those
+  values share one plan.  ``LIMIT n``, hop bounds and projection literals
+  stay in the text: they fix the plan's structure or a column's name.
+  :func:`bind_literals` puts lifted values back into a plan handed to a
+  caller;
 * pre-built :class:`~repro.plan.logical.LogicalPlan` objects (the LDBC
   query templates) — :func:`plan_fingerprint` derives a structural key.
   Plans embedding non-scalar literal payloads (e.g. a ``Lit`` holding an
@@ -29,14 +36,15 @@ Two kinds of query keys exist:
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable
+from typing import Any, Hashable, Mapping
 
 import numpy as np
 
 from ..resilience import faults
-from ..plan.expressions import Expr, Lit
+from ..plan.expressions import Expr, Lit, Param
 from ..plan.logical import AggSpec, LogicalOp, LogicalPlan
 from ..storage.catalog import Direction
 
@@ -87,6 +95,27 @@ def _node_key(node: Any) -> str | None:
             return None
         parts.append(f"{name}={sub}")
     return f"{type(node).__name__}({','.join(parts)})"
+
+
+def bind_literals(plan: LogicalPlan, values: Mapping[str, Any]) -> LogicalPlan:
+    """A copy of *plan* with every ``Param`` named in *values* replaced by a
+    ``Lit`` of its value (the attribute walk :func:`_node_key` does)."""
+    return plan.with_ops([_bind(op, values) for op in plan.ops])
+
+
+def _bind(value: Any, values: Mapping[str, Any]) -> Any:
+    if isinstance(value, Param):
+        return Lit(values[value.name]) if value.name in values else value
+    if isinstance(value, (Expr, LogicalOp, AggSpec)):
+        node = copy.copy(value)
+        for name, sub in vars(value).items():
+            vars(node)[name] = _bind(sub, values)
+        return node
+    if isinstance(value, (list, tuple)):
+        return type(value)(_bind(v, values) for v in value)
+    if isinstance(value, dict):
+        return {k: _bind(v, values) for k, v in value.items()}
+    return value
 
 
 _MISSING = object()

@@ -28,6 +28,7 @@ from typing import Callable, TypeVar
 
 from ..errors import AdmissionRejected, GesError, QueryTimeout, StorageError
 from ..exec.base import ExecStats, QueryResult
+from ..frontend.cypher.lexer import normalize
 from ..obs.clock import now
 from ..obs.events import EVENTS
 from ..obs.flightrec import FlightRecorder
@@ -43,7 +44,7 @@ from ..storage.graph import GraphReadView, GraphStore
 from ..storage.memory_pool import MemoryPool
 from ..txn.transaction import Transaction, TransactionManager
 from .config import EngineConfig
-from .plan_cache import PlanCache, plan_fingerprint
+from .plan_cache import PlanCache, bind_literals, plan_fingerprint
 from .registry import ModuleRegistry, default_registry
 
 T = TypeVar("T")
@@ -289,6 +290,7 @@ class GraphEngineService:
     def _cache_key(self, query: str | LogicalPlan) -> tuple[Any, ...] | None:
         """Plan-cache key for *query*, or None when it must not be cached.
 
+        Text is keyed as given; :meth:`_plan` passes its literal-free shape.
         A changed schema fingerprint drops the whole cache first, so stale
         plans can never be served after DDL.
         """
@@ -314,10 +316,27 @@ class GraphEngineService:
         Served from the plan cache when possible; compile timings and the
         cache outcome are recorded into *stats* when given.  Traced stats
         additionally get a ``compile`` span (children: parse/bind/optimize,
-        or a bare cache-hit marker).
+        or a bare cache-hit marker).  Literals the cache lifted out of the
+        text are bound back in, so the plan runs with the caller's params
+        alone.
+        """
+        physical, values = self._plan(query, stats)
+        return bind_literals(physical, values) if values else physical
+
+    def _plan(
+        self, query: str | LogicalPlan, stats: ExecStats | None
+    ) -> tuple[LogicalPlan, dict[str, Any]]:
+        """:meth:`plan`, plus the values lifted out of a query text.
+
+        Text is cached by its shape (:func:`normalize`), so every text that
+        differs only in WHERE or property-map literals shares one plan, and
+        the lifted values run as hidden parameters.  A shape that does not
+        compile falls back to the text itself: its error is the one raised,
+        and its plan is cached under the text.
         """
         started = now()
-        key = self._cache_key(query)
+        shape, values = normalize(query) if isinstance(query, str) else (query, {})
+        key = self._cache_key(shape)
         if key is not None:
             try:
                 cached = self.plan_cache.lookup(key)  # type: ignore[union-attr]
@@ -334,11 +353,19 @@ class GraphEngineService:
                     stats.record_compile(now() - started, cache_hit=True)
                     if stats.trace is not None:
                         stats.trace.add("compile", started, now(), cache="hit")
-                return cached
-        if isinstance(query, str):
-            logical, stages = self._compile_stages(query)
+                return cached, values
+        if isinstance(shape, str):
+            try:
+                logical, stages = self._compile_stages(shape)
+            except GesError:
+                if not values:
+                    raise
+                logical, stages = self._compile_stages(query)  # type: ignore[arg-type]
+                values = {}
+                if key is not None:
+                    key = (query, *key[1:])
         else:
-            logical, stages = query, {}
+            logical, stages = shape, {}
         optimize_started = now()
         physical = self._optimize(logical)
         stages["optimize"] = now() - optimize_started
@@ -362,7 +389,7 @@ class GraphEngineService:
                         Span.completed(stage_name, at, at + stage_seconds)
                     )
                     at += stage_seconds
-        return physical
+        return physical, values
 
     def execute(
         self,
@@ -457,7 +484,9 @@ class GraphEngineService:
                 pre_defactor = stats.defactor_count
                 pre_tuples = stats.flat_tuples
                 pre_slots = stats.ftree_slots
-            physical = self.plan(query, stats=stats)
+            physical, values = self._plan(query, stats)
+            if values:
+                params = {**(params or {}), **values}
             if view is None:
                 view = self.read_view()
             if self._fallback_execute is None:

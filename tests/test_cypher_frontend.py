@@ -1,11 +1,13 @@
 """Tests for the Cypher lexer, parser, binder, and end-to-end execution."""
 
+import time
+
 import pytest
 
 from repro.errors import CypherSyntaxError, CypherUnsupportedError, PlanError
 from repro.frontend.cypher import compile_cypher, parse_cypher
 from repro.frontend.cypher import ast
-from repro.frontend.cypher.lexer import TokenType, tokenize
+from repro.frontend.cypher.lexer import TokenType, normalize, tokenize
 from repro.plan import (
     Aggregate,
     Expand,
@@ -67,6 +69,111 @@ class TestLexer:
     def test_junk_rejected(self):
         with pytest.raises(CypherSyntaxError):
             tokenize("MATCH @")
+
+    def test_non_ascii_digit_is_not_a_number(self):
+        # '²'.isdigit() is True, and int('²3') raises a bare ValueError.
+        text = "MATCH (p:Person) WHERE p.age > ²3 RETURN id(p)"
+        with pytest.raises(CypherSyntaxError, match="unexpected character") as err:
+            tokenize(text)
+        assert err.value.position == text.index("²")
+
+    def test_non_ascii_limit_rejected(self):
+        # int('٣') == 3, so this LIMIT used to be read silently.
+        text = "MATCH (p:Person) RETURN id(p) LIMIT ٣"
+        with pytest.raises(CypherSyntaxError) as err:
+            tokenize(text)
+        assert err.value.position == text.index("٣")
+
+    def test_positions_and_eof(self):
+        tokens = tokenize("  a.b  // c\n$x ")
+        assert [(t.value, t.position) for t in tokens] == [
+            ("a", 2), (".", 3), ("b", 4), ("x", 12), ("", 15)
+        ]
+
+    def test_trailing_whitespace_is_linear(self):
+        # A regex scan retried at each trailing blank is quadratic: 3,000
+        # blanks took seconds that way, against well under a millisecond.
+        text = "MATCH (p) WHERE p.a = 1" + " " * 3000
+        started = time.perf_counter()
+        assert tokenize(text)[-1].position == len(text)
+        assert normalize(text)[1] == {"__lit0": 1}
+        assert time.perf_counter() - started < 0.25
+
+    def test_error_positions(self):
+        for text, message, position in [
+            ("RETURN  'oops", "unterminated string literal", 8),
+            ("RETURN $ x", "empty parameter name", 7),
+            ("RETURN a ~", "unexpected character '~'", 9),
+        ]:
+            with pytest.raises(CypherSyntaxError, match=message) as err:
+                tokenize(text)
+            assert err.value.position == position
+
+
+class TestNormalize:
+    def test_where_and_property_map_literals_lifted(self):
+        text = (
+            "MATCH (p:Person {id: 3})-[:KNOWS]->(f) "
+            "WHERE f.age > 1.5 AND f.firstName = 'it\\'s' RETURN id(f)"
+        )
+        shape, values = normalize(text)
+        assert shape == (
+            "MATCH (p:Person {id: $__lit0})-[:KNOWS]->(f) "
+            "WHERE f.age > $__lit1 AND f.firstName = $__lit2 RETURN id(f)"
+        )
+        assert values == {"__lit0": 3, "__lit1": 1.5, "__lit2": "it's"}
+
+    def test_values_decode_like_tokens(self):
+        text = "MATCH (p) WHERE p.a = 'a\\\\b' AND p.b = \"q\" AND p.c = 7 RETURN p"
+        _, values = normalize(text)
+        literals = [
+            t.value for t in tokenize(text)
+            if t.type in (TokenType.STRING, TokenType.INT)
+        ]
+        assert literals == ["a\\b", "q", "7"]
+        assert values == {"__lit0": "a\\b", "__lit1": "q", "__lit2": 7}
+        # A range is two INTs, not a float, in both consumers.
+        assert normalize("MATCH (p) WHERE p.x = 1..2 RETURN p")[1] == {
+            "__lit0": 1, "__lit1": 2
+        }
+
+    def test_with_where_lifted_projection_kept(self):
+        text = "MATCH (p:Person) WITH p.age + 1 AS a WHERE a > 30 RETURN a, 2"
+        shape, values = normalize(text)
+        assert shape == "MATCH (p:Person) WITH p.age + 1 AS a WHERE a > $__lit0 RETURN a, 2"
+        assert values == {"__lit0": 30}
+
+    def test_structural_literals_kept(self):
+        for text in [
+            "MATCH (a:Person)-[:KNOWS*1..2]->(b) RETURN id(b)",
+            "MATCH (a:Person) RETURN id(a) ORDER BY id(a) LIMIT 3",
+            "MATCH (a:Person) RETURN a.age + 1",
+        ]:
+            assert normalize(text) == (text, {})
+
+    def test_where_ends_at_next_clause(self):
+        text = (
+            "MATCH (a:Person) WHERE a.age > 1 WITH a "
+            "MATCH (a)-[:KNOWS*1..2]->(b) RETURN id(b) LIMIT 2"
+        )
+        shape, values = normalize(text)
+        assert shape == text.replace("> 1", "> $__lit0")
+        assert values == {"__lit0": 1}
+
+    def test_hidden_parameter_text_not_rewritten(self):
+        text = "MATCH (a:Person) WHERE a.age > $__lit0 AND a.id = 4 RETURN id(a)"
+        assert normalize(text) == (text, {})
+
+    def test_junk_returned_unchanged(self):
+        text = "MATCH (a:Person) WHERE a.age > 1 AND a.b = 'oops RETURN a"
+        assert normalize(text) == (text, {})
+
+    def test_comment_literals_untouched(self):
+        text = "MATCH (a:Person) WHERE a.age > 1 // and 2\nRETURN id(a)"
+        assert normalize(text) == (
+            "MATCH (a:Person) WHERE a.age > $__lit0 // and 2\nRETURN id(a)",
+            {"__lit0": 1},
+        )
 
 
 class TestParser:

@@ -1,14 +1,20 @@
 """Tests for the parameterized plan cache and compile instrumentation."""
 
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import DataType, EngineConfig, GES, PropertyDef, VertexLabelDef
 from repro.engine.plan_cache import PlanCache, PlanCacheStats, plan_fingerprint
 from repro.exec.base import ExecStats
+from repro.frontend.cypher import compile_cypher
+from repro.frontend.cypher.lexer import normalize
 from repro.ldbc import ParameterGenerator, REGISTRY
+from repro.ldbc.validation import rows_bag
 from repro.plan.expressions import Col, InSet, Lit, Param
 from repro.plan.logical import (
     Filter,
@@ -20,6 +26,8 @@ from repro.plan.logical import (
     OrderBy,
     Project,
 )
+from repro.resilience import FaultPlan, FaultRule, fault_scope
+from repro.testkit import QueryGenerator, fuzz_schema, generate_store
 
 CYPHER = "MATCH (m:Message) RETURN m.length AS len ORDER BY len DESC LIMIT 2"
 
@@ -181,6 +189,132 @@ class TestServicePlanCache:
         assert not stats.cache_hit  # recompiled against the new schema
         assert engine.describe()["plan_cache"]["size"] == 1
 
+    # -- keyed on query shape --------------------------------------------------
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (
+                "MATCH (p:Person) WHERE p.age > 26 RETURN id(p) AS i",
+                "MATCH (p:Person) WHERE p.age > 31 RETURN id(p) AS i",
+            ),
+            (
+                "MATCH (m:Message) WHERE m.score < 3.5 RETURN id(m) AS i",
+                "MATCH (m:Message) WHERE m.score < 1.5 RETURN id(m) AS i",
+            ),
+            (
+                "MATCH (p:Person {firstName: 'B'})-[:KNOWS]->(f) RETURN id(f) AS i",
+                "MATCH (p:Person {firstName: 'E'})-[:KNOWS]->(f) RETURN id(f) AS i",
+            ),
+            (
+                "MATCH (p:Person {id: 1}) WITH p.firstName AS n WHERE n <> 'it\\'s' RETURN n",
+                "MATCH (p:Person {id: 3}) WITH p.firstName AS n WHERE n <> 'B' RETURN n",
+            ),
+        ],
+    )
+    def test_texts_of_one_shape_share_a_plan(self, micro_store, first, second):
+        engine = GES(micro_store)
+        uncached = GES(micro_store, EngineConfig.ges_f_star(plan_cache=False))
+        stats = [ExecStats(), ExecStats()]
+        for text, text_stats in zip((first, second), stats):
+            rows = engine.execute(text, stats=text_stats).rows
+            assert rows_bag(rows) == rows_bag(uncached.execute(text).rows)
+        assert stats[0].plan_cache_misses == 1 and stats[1].cache_hit
+        assert len(engine.plan_cache) == 1
+
+    def test_structural_literals_keep_separate_entries(self, micro_store):
+        engine = GES(micro_store)
+        texts = {
+            "MATCH (p:Person) RETURN id(p) AS i ORDER BY i LIMIT 2": ["i"],
+            "MATCH (p:Person) RETURN id(p) AS i ORDER BY i LIMIT 3": ["i"],
+            "MATCH (p:Person {id: 0})-[:KNOWS*1..1]->(f) RETURN id(f) AS i": ["i"],
+            "MATCH (p:Person {id: 0})-[:KNOWS*1..2]->(f) RETURN id(f) AS i": ["i"],
+            "MATCH (p:Person) RETURN p.age + 1": ["(p.age + 1)"],
+            "MATCH (p:Person) RETURN p.age + 2": ["(p.age + 2)"],
+        }
+        results = {text: engine.execute(text) for text in texts}
+        assert engine.plan_cache.stats.hits == 0
+        assert len(engine.plan_cache) == len(texts)
+        for text, columns in texts.items():
+            assert results[text].columns == columns
+        rows = [len(result) for result in results.values()]
+        assert rows[:4] == [2, 3, 2, 4]
+        assert sorted(results["MATCH (p:Person) RETURN p.age + 2"].rows) == [
+            (27,), (27,), (32,), (37,), (42,)
+        ]
+
+    def test_hidden_parameter_text_is_not_rewritten(self, micro_store):
+        engine = GES(micro_store)
+        text = "MATCH (p:Person) WHERE p.age > $__lit0 AND p.age < 36 RETURN id(p) AS i"
+        rows = engine.execute(text, {"__lit0": 26}).rows
+        assert sorted(rows) == [(0,), (2,)]
+        stats = ExecStats()
+        engine.execute(text.replace("36", "41"), {"__lit0": 26}, stats=stats)
+        assert not stats.cache_hit  # the literal 36 stayed part of the key
+
+    def test_caller_params_untouched(self, micro_store):
+        engine = GES(micro_store)
+        params = {"min": 20}
+        text = "MATCH (p:Person) WHERE p.age > $min AND p.age < 31 RETURN id(p) AS i"
+        rows = engine.execute(text, params).rows
+        assert sorted(rows) == [(0,), (1,), (3,)]
+        assert params == {"min": 20}
+
+    def test_plan_runs_without_params(self, micro_store):
+        engine = GES(micro_store)
+        text = "MATCH (p:Person {firstName: 'B'}) WHERE p.age > 20 RETURN id(p) AS i"
+        engine.execute(text)  # warm the shape
+        plan = engine.plan(text)
+        assert "Lit('B')" in engine.explain(text)
+        assert "Lit('E')" in engine.explain(text.replace("'B'", "'E'"))
+        assert engine.plan_cache.stats.misses == 1
+        assert "Param" not in repr(plan.ops)
+        assert sorted(engine.execute(plan).rows) == [(1,), (3,)]
+
+    def test_uncompilable_shape_falls_back_to_text(self, micro_store, monkeypatch):
+        import repro.engine.service as service
+
+        engine = GES(micro_store)
+        text = "MATCH (p:Person) WHERE p.age > 30 RETURN id(p) AS i"
+        monkeypatch.setattr(
+            service, "normalize", lambda query: (query + " )", {"__lit0": 0})
+        )
+        assert sorted(engine.execute(text).rows) == [(2,), (4,)]
+        assert [key[0] for key in engine.plan_cache._entries] == [text]
+
+    def test_lookup_fault_degrades_with_lifted_values(self, micro_store):
+        engine = GES(micro_store)
+        text = "MATCH (p:Person) WHERE p.age >= 35 RETURN id(p) AS i"
+        faults = FaultPlan(rules=(FaultRule(site="plan_cache.lookup", every_nth=1),))
+        with fault_scope(faults):
+            rows = engine.execute(text).rows
+        assert sorted(rows) == [(2,), (4,)]
+        assert faults.total_fired() == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # The shape reads "unexpected token '__lit1'" at another position.
+            "MATCH (p:Person) WHERE p.age > 3 4 RETURN id(p)",
+            "MATCH (p:Person {id: 1}) WHERE p.age > 3 RETURN id(p) LIMIT x",
+            "MATCH (p:Person {id: 1) RETURN id(p)",
+            "MATCH (p:Person) WHERE p.age > 'oops RETURN id(p)",
+            "MATCH (p:Person) WHERE p.age > ²3 RETURN id(p)",
+            "MATCH (p:Person) WHERE p.age = 3 RETURN id(p) LIMIT ٣",
+            "MATCH (p:Person) WHERE p.nope = 3 RETURN id(p)",
+            "MATCH (p:Person) WHERE p.age = 3 RETURN $",
+        ],
+    )
+    def test_bad_text_raises_the_original_error(self, micro_store, text):
+        with pytest.raises(Exception) as expected:
+            compile_cypher(text, micro_store.schema)
+        with pytest.raises(type(expected.value)) as actual:
+            GES(micro_store).execute(text)
+        assert str(actual.value) == str(expected.value)
+        assert getattr(actual.value, "position", None) == getattr(
+            expected.value, "position", None
+        )
+
 
 class TestFuzzedDdlInvalidation:
     """Seeded random DDL streams against the cache's schema fingerprint.
@@ -326,3 +460,37 @@ def test_variants_agree_cache_on_and_off(sf1_dataset, name):
             reference = cold
         else:
             assert cold == reference, f"{name}: {variant} disagrees across variants"
+
+
+class TestShapeKeyDifferential:
+    """Generated Cypher texts and siblings with every WHERE and
+    property-map literal changed: a warm engine must answer both as an
+    uncached engine does, and the sibling must reuse the text's plan."""
+
+    LIFTED = re.compile(r"(\{\w+: |WHERE \S+ [<>]=? )(\d+)")
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        schema = fuzz_schema()
+        store, spec = generate_store(5, schema, "quick")
+        warm = GES(store)
+        uncached = GES(store, EngineConfig.ges_f_star(plan_cache=False))
+        return schema, spec, warm, uncached
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), changes=st.randoms(use_true_random=False))
+    def test_siblings_agree_and_hit(self, graph, seed, changes):
+        schema, spec, warm, uncached = graph
+        query = QueryGenerator(schema, random.Random(seed)).cypher_query(spec)
+        text = query.cypher
+        sibling = self.LIFTED.sub(
+            lambda m: m[1] + str(int(m[2]) + changes.randint(1, 40)), text
+        )
+        for candidate in (text, sibling):
+            assert rows_bag(warm.execute(candidate, query.params).rows) == rows_bag(
+                uncached.execute(candidate, query.params).rows
+            ), candidate
+        stats = ExecStats()
+        warm.execute(sibling, query.params, stats=stats)
+        if normalize(sibling)[0] == normalize(text)[0]:
+            assert stats.cache_hit, (text, sibling)
