@@ -1,20 +1,18 @@
-"""Ablation — what durability costs the commit path, and that *off* is free.
+"""Ablation — what durability costs the commit path.
 
 Three commit paths over identical deterministic update batches:
 
 * **off** — the default in-memory engine (``EngineConfig(durability=None)``,
-  no database directory).  The durability hooks still exist on this path:
-  a ``wal is None`` branch per commit plus disarmed ``crashpoint()`` calls
-  in the commit/checkpoint protocol.  The budget: within 5% of the same
-  loop with those hooks neutralized — durability must be pay-as-you-go.
+  no database directory).  The durability hooks left on this path are a
+  ``wal is None`` branch per commit and the crash sites' disarmed
+  ``faults.ACTIVE`` guards — one attribute read each, the same guard every
+  fault site pays, with nothing left to neutralise for a baseline.
 * **batch** — WAL group commit (fsync every ``wal_batch_every`` appends):
   the bounded-loss middle ground; reported as a multiplier over *off*.
 * **fsync** — an fsync per commit: the full durability guarantee, priced
   by the disk, not the engine; reported as a multiplier over *off*.
 
-The baseline ("nohooks") replaces the commit path's ``crashpoint`` with a
-no-op lambda, reconstructing the pre-durability commit loop on today's
-code.  A/B runs interleave with per-scenario minima so OS noise cancels.
+Runs interleave with per-scenario minima so OS noise cancels.
 """
 
 from __future__ import annotations
@@ -30,12 +28,11 @@ from repro import GES, EngineConfig
 from repro.obs.clock import now
 from repro.testkit.graphgen import fuzz_schema, random_graph_spec, store_from_spec
 from repro.testkit.querygen import UpdateGenerator
-from repro.txn import transaction as txn_module
 
 SEED = 7
 BATCHES = 60
 REPEATS = 5
-SCENARIOS = ("nohooks", "off", "batch", "fsync")
+SCENARIOS = ("off", "batch", "fsync")
 
 
 def _batches(schema, spec):
@@ -62,16 +59,8 @@ def _timed_apply(engine, batches) -> float:
 def _run_scenario(scenario: str, spec, batches, workdir: Path) -> float:
     """One timed pass: fresh store (and db dir for durable modes)."""
     store = store_from_spec(spec)
-    if scenario in ("nohooks", "off"):
-        engine = GES(store, _config(None))
-        if scenario == "nohooks":
-            real = txn_module.crashpoint
-            txn_module.crashpoint = lambda site: None
-            try:
-                return _timed_apply(engine, batches)
-            finally:
-                txn_module.crashpoint = real
-        return _timed_apply(engine, batches)
+    if scenario == "off":
+        return _timed_apply(GES(store, _config(None)), batches)
     db = workdir / f"db-{scenario}"
     if db.exists():
         shutil.rmtree(db)
@@ -105,8 +94,6 @@ def run_ablation() -> dict[str, float]:
 
 def test_ablation_durability(benchmark):
     best = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
-    baseline = best["nohooks"]
-    off_overhead = best["off"] / baseline - 1
     batch_x = best["batch"] / best["off"]
     fsync_x = best["fsync"] / best["off"]
 
@@ -124,11 +111,7 @@ def test_ablation_durability(benchmark):
             f"{name:8} {best[name] * 1e3:>10.2f} {per_commit_us[name]:>11.1f} "
             f"{best[name] / best['off']:>8.2f}x"
         )
-    lines.append(
-        f"durability-off overhead vs no-hooks baseline: "
-        f"{off_overhead * 100:+.1f}% (gate < 5%); "
-        f"batch {batch_x:.1f}x, fsync {fsync_x:.1f}x over off"
-    )
+    lines.append(f"batch {batch_x:.1f}x, fsync {fsync_x:.1f}x over off")
     emit(
         lines,
         archive="ablation_durability.txt",
@@ -138,14 +121,8 @@ def test_ablation_durability(benchmark):
             "repeats": REPEATS,
             "seconds": best,
             "per_commit_us": per_commit_us,
-            "off_overhead_fraction": off_overhead,
             "batch_multiplier": batch_x,
             "fsync_multiplier": fsync_x,
         },
     )
 
-    assert off_overhead < 0.05, (
-        f"the durability-off commit path must be free — a `wal is None` "
-        f"branch and disarmed crashpoints, nothing more; measured "
-        f"{off_overhead * 100:+.1f}% over the no-hooks baseline"
-    )

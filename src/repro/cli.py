@@ -8,9 +8,6 @@ Subcommands::
     python -m repro.cli profile IC5 --scale SF1 --variant all
     python -m repro.cli metrics --scale SF1 --ops 100 --format prom
     python -m repro.cli fuzz --seed 0 --iterations 200 --corpus tests/corpus
-    python -m repro.cli perf record --workload smoke
-    python -m repro.cli perf compare
-    python -m repro.cli perf report
     python -m repro.cli flightrec --scale SF1 --ops 50 --format json
     python -m repro.cli top --scale SF1 --once
 
@@ -19,10 +16,8 @@ a mini-SNB graph in memory) or ``--graph DIR`` (load a snapshot written by
 ``generate --out``).  ``profile`` renders the per-operator span tree of
 one query (an LDBC name like ``IC5`` or raw Cypher); ``metrics`` runs a
 short driver workload and exports the process metrics registry as
-Prometheus text or JSON.  ``perf`` drives the continuous-performance
-trajectory (record a pinned workload into ``BENCH_trajectory.json``,
-gate the newest record against history, print the history); ``flightrec``
-runs a workload and dumps the engine's always-on flight recorder.
+Prometheus text or JSON.  ``flightrec`` runs a workload and dumps the
+engine's always-on flight recorder.
 """
 
 from __future__ import annotations
@@ -317,83 +312,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def _parse_slowdowns(specs: list[str] | None) -> dict[str, float]:
-    """``--inject-slowdown Expand=2ms`` → ``{"Expand": 2.0}`` (ms per call)."""
-    delays: dict[str, float] = {}
-    for spec in specs or []:
-        op, sep, delay = spec.partition("=")
-        if not sep or not op or not delay.endswith("ms"):
-            raise SystemExit(
-                f"bad --inject-slowdown {spec!r}: expected OPERATOR=DELAYms"
-            )
-        try:
-            delays[op] = float(delay[: -len("ms")])
-        except ValueError:
-            raise SystemExit(
-                f"bad --inject-slowdown delay {delay!r}: expected a number of ms"
-            ) from None
-        if delays[op] <= 0:
-            raise SystemExit(f"bad --inject-slowdown delay {delay!r}: must be > 0")
-    return delays
-
-
-def cmd_perf_record(args: argparse.Namespace) -> int:
-    """Record one pinned-workload run into the trajectory file."""
-    from .perf import WORKLOADS, append_record, record_run
-
-    if args.workload not in WORKLOADS:
-        raise SystemExit(
-            f"unknown workload {args.workload!r}; choose from {sorted(WORKLOADS)}"
-        )
-    slowdowns = _parse_slowdowns(args.inject_slowdown)
-    if slowdowns:
-        print(
-            f"WARNING: recording with injected slowdowns {slowdowns} "
-            "(gate self-test mode — the record is flagged)",
-            file=sys.stderr,
-        )
-    on_event = (lambda msg: print(f"  {msg}", file=sys.stderr)) if args.verbose else None
-    record = record_run(
-        args.workload, inject_slowdowns=slowdowns or None, on_event=on_event
-    )
-    path = append_record(record, args.trajectory)
-    spec = WORKLOADS[args.workload]
-    queries = len(spec.read_queries) + len(spec.update_queries)
-    print(
-        f"recorded {args.workload} v{spec.version} @ {spec.scale}: "
-        f"{queries} queries x {len(spec.variants)} variants, "
-        f"{record['elapsed_seconds']:.1f}s -> {path}"
-    )
-    return 0
-
-
-def cmd_perf_compare(args: argparse.Namespace) -> int:
-    """Gate the newest trajectory record against history (exit 1 on regression)."""
-    from .perf import TrajectoryError, compare_trajectory, load_trajectory, render_report
-
-    try:
-        records = load_trajectory(args.trajectory)
-        report = compare_trajectory(
-            records,
-            band_floor=args.band_floor,
-            band_k=args.band_k,
-            min_effect_ms=args.min_effect_ms,
-        )
-    except (TrajectoryError, ValueError) as exc:
-        raise SystemExit(str(exc)) from None
-    print(render_report(report, verbose=args.verbose))
-    return 1 if report.has_regressions else 0
-
-
-def cmd_perf_report(args: argparse.Namespace) -> int:
-    """Print the trajectory history, one line per record."""
-    from .perf import load_trajectory
-    from .perf.gate import render_history
-
-    print(render_history(load_trajectory(args.trajectory)))
-    return 0
-
-
 def cmd_flightrec(args: argparse.Namespace) -> int:
     """Run a short workload, then dump the engine's flight recorder.
 
@@ -615,54 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     fsck.add_argument("path", help="database directory created by GES.open")
     fsck.add_argument("--format", choices=("text", "json"), default="text")
     fsck.set_defaults(fn=cmd_fsck)
-
-    perf = sub.add_parser(
-        "perf", help="continuous-performance trajectory: record/compare/report"
-    )
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-
-    perf_record = perf_sub.add_parser(
-        "record", help="run a pinned workload, append one trajectory record"
-    )
-    perf_record.add_argument(
-        "--workload", default="full", help="pinned workload spec (full/smoke)"
-    )
-    perf_record.add_argument(
-        "--trajectory", help="trajectory file (default: BENCH_trajectory.json)"
-    )
-    perf_record.add_argument(
-        "--inject-slowdown",
-        action="append",
-        metavar="OPERATOR=DELAYms",
-        help="fixed per-call busy-wait for the gate self-test (e.g. Expand=2ms)",
-    )
-    perf_record.add_argument(
-        "--verbose", action="store_true", help="per-repeat progress on stderr"
-    )
-    perf_record.set_defaults(fn=cmd_perf_record)
-
-    perf_compare = perf_sub.add_parser(
-        "compare", help="gate the newest record against history (exit 1 on regression)"
-    )
-    perf_compare.add_argument("--trajectory")
-    perf_compare.add_argument("--band-floor", type=float, default=0.30)
-    perf_compare.add_argument("--band-k", type=float, default=5.0)
-    perf_compare.add_argument(
-        "--min-effect-ms",
-        type=float,
-        default=0.25,
-        help="absolute p50 shifts below this are always 'unchanged'",
-    )
-    perf_compare.add_argument(
-        "--verbose", action="store_true", help="print every cell, not just changes"
-    )
-    perf_compare.set_defaults(fn=cmd_perf_compare)
-
-    perf_report = perf_sub.add_parser(
-        "report", help="print the trajectory history, one line per record"
-    )
-    perf_report.add_argument("--trajectory")
-    perf_report.set_defaults(fn=cmd_perf_report)
 
     flightrec = sub.add_parser(
         "flightrec", help="run a workload, dump the engine flight recorder"

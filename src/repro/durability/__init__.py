@@ -8,8 +8,10 @@ The pieces, bottom-up:
 * :mod:`repro.durability.checkpoint` — crash-atomic snapshots with
   per-file SHA-256 manifests, retention, and WAL pruning.
 * :mod:`repro.durability.recovery` — ``recover``/``init_db``/``fsck``.
-* :mod:`repro.durability.hooks` — seeded SIGKILL crash points for the
-  kill -9 harness (:mod:`repro.testkit.crashtest`).
+
+The protocol's crash points are kill sites of the one fault registry
+(:mod:`repro.resilience.faults`), fired by the kill -9 harness
+(:mod:`repro.testkit.crashtest`).
 
 :class:`DurabilityManager` ties them together for the engine: the
 transaction manager calls :meth:`~DurabilityManager.log_commit` under its
@@ -25,8 +27,8 @@ from typing import TYPE_CHECKING, Any
 
 from ..errors import StorageError, WalCorrupt
 from ..obs.events import EVENTS
+from ..resilience import faults
 from ..storage.graph import GraphStore
-from . import hooks
 from .checkpoint import CheckpointInfo, prune, wal_dir, write_checkpoint
 from .records import commit_payload, replay_commit
 from .recovery import FsckReport, RecoveryResult, fsck, init_db, recover
@@ -45,7 +47,6 @@ __all__ = [
     "WalCorrupt",
     "commit_payload",
     "fsck",
-    "hooks",
     "init_db",
     "recover",
     "replay_commit",
@@ -157,7 +158,8 @@ class DurabilityManager:
         self.writer.sync()
         info = write_checkpoint(store, self.db, version)
         self.writer.switch_segment(wal_dir(self.db), version)
-        hooks.crashpoint("checkpoint.segment_switched")
+        if faults.ACTIVE is not None:
+            faults.ACTIVE.fire("checkpoint.segment_switched")
         prune(self.db, keep=self.keep)
         EVENTS.emit("checkpoint_complete", epoch=version)
         return info

@@ -34,6 +34,7 @@ from pathlib import Path
 
 from ..errors import StorageError
 from ..obs.events import EVENTS
+from ..resilience import faults
 from ..storage.io import (
     _write_snapshot_files,
     fsync_dir,
@@ -43,7 +44,6 @@ from ..storage.io import (
 )
 from ..storage.graph import GraphStore
 from . import wal as wal_mod
-from .hooks import crashpoint
 
 CHECKPOINTS_DIRNAME = "checkpoints"
 WAL_DIRNAME = "wal"
@@ -194,14 +194,16 @@ def write_checkpoint(store: GraphStore, db: Path, epoch: int) -> CheckpointInfo:
             fsync_file(member)
         write_manifest(tmp, extra={"epoch": epoch})
         fsync_dir(tmp)
-        crashpoint("checkpoint.tmp_written")
+        if faults.ACTIVE is not None:
+            faults.ACTIVE.fire("checkpoint.tmp_written")
         os.rename(tmp, target)
         fsync_dir(ckpts)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
     EVENTS.emit("checkpoint_written", epoch=epoch, path=str(target))
-    crashpoint("checkpoint.renamed")
+    if faults.ACTIVE is not None:
+        faults.ACTIVE.fire("checkpoint.renamed")
     return info
 
 
@@ -219,7 +221,8 @@ def prune(db: Path, keep: int = 2) -> tuple[list[str], list[str]]:
     doomed = infos[:-keep] if keep > 0 else []
     removed_ckpts: list[str] = []
     removed_segments: list[str] = []
-    crashpoint("checkpoint.truncated")
+    if faults.ACTIVE is not None:
+        faults.ACTIVE.fire("checkpoint.truncated")
     for info in doomed:
         shutil.rmtree(info.path, ignore_errors=True)
         removed_ckpts.append(info.path.name)

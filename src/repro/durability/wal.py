@@ -40,7 +40,7 @@ from typing import Any, Iterator
 from ..errors import StorageError, WalCorrupt
 from ..obs.events import EVENTS
 from ..obs.metrics import REGISTRY
-from .hooks import crashpoint
+from ..resilience import faults
 
 WAL_MAGIC = b"GESW"
 WAL_FORMAT = 1
@@ -262,12 +262,14 @@ class WalWriter:
             raise StorageError("WAL writer is closed")
         body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         record = encode_record(body)
-        crashpoint("commit.wal_append")
+        if faults.ACTIVE is not None:
+            faults.ACTIVE.fire("commit.wal_append")
         self._file.write(record)
         self._file.flush()
         self._m_appends.inc()
         self._m_bytes.inc(len(record))
-        crashpoint("commit.wal_fsync")
+        if faults.ACTIVE is not None:
+            faults.ACTIVE.fire("commit.wal_fsync")
         if self.mode == "fsync":
             os.fsync(self._file.fileno())
             self._m_fsyncs.inc()

@@ -243,30 +243,6 @@ class ExecutionContext:
             raise ExecutionError(f"unbound vertex variable {var!r}") from None
 
 
-#: Injected per-operator delays in seconds — the perf regression gate's
-#: self-test hook (``repro perf record --inject-slowdown Expand=2ms``).
-#: Empty in normal operation: the only hot-path cost is one truthiness
-#: check of a module global per operator exit.
-_SLOWDOWNS: dict[str, float] = {}
-
-
-def set_injected_slowdowns(delays_ms: Mapping[str, float] | None) -> None:
-    """Install (or clear, with None/empty) per-call operator delays.
-
-    A delay of D ms on operator ``name`` makes every ``OpTimer`` for that
-    operator busy-wait D ms past its real work — a *genuine* wall-clock
-    slowdown, so the regression gate's self-test measures a real effect
-    rather than doctored numbers.  The delay is fixed per call, so the
-    injected signal does not shrink as the operator gets faster.
-    Test/CI only.
-    """
-    _SLOWDOWNS.clear()
-    for name, delay_ms in (delays_ms or {}).items():
-        if delay_ms <= 0.0:
-            raise ValueError(f"injected delay for {name!r} must be > 0 ms")
-        _SLOWDOWNS[name] = float(delay_ms) / 1e3
-
-
 class OpTimer:
     """Context manager timing one operator and recording the output size.
 
@@ -303,15 +279,7 @@ class OpTimer:
         return self
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        elapsed = now() - self._start
-        if _SLOWDOWNS:
-            delay = _SLOWDOWNS.get(self.name, 0.0)
-            if delay > 0.0:
-                deadline = self._start + elapsed + delay
-                while now() < deadline:  # busy-wait: a real measured slowdown
-                    pass
-                elapsed = now() - self._start
-        self.ctx.stats.record_op(self.name, elapsed, self.out_bytes)
+        self.ctx.stats.record_op(self.name, now() - self._start, self.out_bytes)
         if self._span is not None:
             self._span.attrs.setdefault("out_bytes", self.out_bytes)
             self.ctx.stats.trace.end()

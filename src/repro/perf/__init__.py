@@ -1,48 +1,4 @@
-"""Continuous performance observability (`repro perf record|compare|report`).
+"""Holds only :func:`.recorder.git_sha`, which ``bench/run.py`` imports.
 
-Three pillars (DESIGN.md, "Performance methodology"):
-
-* :mod:`repro.perf.workload` — pinned, versioned workload specs: fixed
-  scale, seeds, and parameter streams covering IC/IS/IU on all three
-  paper variants plus the Volcano baseline, so every recorded run
-  measures *exactly* the same work.
-* :mod:`repro.perf.recorder` — the noise-aware measurement protocol
-  (warmup discard, interleaved repeats, MAD-based dispersion, machine
-  fingerprint) appending one record per run to ``BENCH_trajectory.json``.
-* :mod:`repro.perf.gate` — the regression gate: derives per-query noise
-  bands from the trajectory's historical dispersion and emits
-  regressed / improved / unchanged verdicts with a non-zero exit code
-  on regression.
-
-:mod:`repro.perf.trajectory` owns the trajectory file itself (schema
-validation, append, load).
+The benchmark in ``bench/`` is the repo's one measurement instrument.
 """
-
-from .gate import GateReport, Verdict, compare_trajectory, render_report
-from .recorder import machine_fingerprint, record_run
-from .trajectory import (
-    TRAJECTORY_SCHEMA_VERSION,
-    TrajectoryError,
-    append_record,
-    default_trajectory_path,
-    load_trajectory,
-    validate_record,
-)
-from .workload import WORKLOADS, WorkloadSpec
-
-__all__ = [
-    "WORKLOADS",
-    "WorkloadSpec",
-    "record_run",
-    "machine_fingerprint",
-    "TRAJECTORY_SCHEMA_VERSION",
-    "TrajectoryError",
-    "append_record",
-    "load_trajectory",
-    "validate_record",
-    "default_trajectory_path",
-    "compare_trajectory",
-    "GateReport",
-    "Verdict",
-    "render_report",
-]

@@ -1,81 +1,12 @@
-"""The trajectory recorder: one noise-controlled measurement per run.
+"""The commit under measurement, for ``bench/run.py``'s context line.
 
-Measurement protocol (the controls the LDBC SNB benchmarking paper shows
-graph-DB comparisons die without):
-
-* **Warmup discard** — the first ``spec.warmup`` repeats run the full
-  workload but record nothing: allocator warmup, plan-cache population,
-  and adjacency-page faults land there instead of in the numbers.
-* **Interleaved repeats** — the loop order is repeat → query → variant →
-  draw, so the engine variants alternate within milliseconds of each
-  other and slow drift (thermal, background load) hits all variants
-  equally instead of biasing whichever ran last.
-* **Robust statistics** — each (variant, query) cell reports the median
-  (p50), p95, mean, and the median absolute deviation (MAD) of its
-  ``repeats × draws`` samples.  The MAD is the dispersion the regression
-  gate turns into noise bands: it ignores the occasional
-  scheduler-hiccup outlier that would inflate a standard deviation.
-* **GC quiescence** — the collector is forced once up front, then
-  disabled for the duration of the run (restored after).  On the
-  millisecond-scale queries of the mini workloads, a single gen-2 GC
-  pause is bigger than the effects under measurement; with the collector
-  off, allocation noise shows up as a slow drift the interleaving already
-  averages out instead of as random multi-millisecond spikes.
-* **Machine fingerprint** — platform, CPU count, and Python build are
-  recorded (plus a stable digest) so the gate can tell "this commit got
-  slower" from "this record came from a different machine".
-
-Everything else in the record is bookkeeping the paper's evaluation
-reports per variant: closed-loop ops/s, plan-cache hit rate, factorization
-compression ratio, and peak f-Block bytes — plus the git SHA, so the
-trajectory doubles as the repo's perf history.
+``bench/run.py`` imports :func:`git_sha` from here, so it stays until the
+benchmark carries its own copy; nothing else in the package is used.
 """
 
 from __future__ import annotations
 
-import gc
-import hashlib
-import os
-import platform
 import subprocess
-from datetime import datetime, timezone
-from typing import Any, Mapping
-
-import numpy as np
-
-from .. import GES, EngineConfig
-from ..baselines import VolcanoEngine
-from ..exec.base import ExecStats, set_injected_slowdowns
-from ..ldbc.queries import REGISTRY
-from ..obs.clock import now, wall_time
-from .trajectory import TRAJECTORY_SCHEMA_VERSION
-from .workload import WORKLOADS, WorkloadSpec, materialize
-
-_CONFIGS = {
-    "GES": EngineConfig.ges,
-    "GES_f": EngineConfig.ges_f,
-    "GES_f*": EngineConfig.ges_f_star,
-}
-
-
-def machine_fingerprint() -> dict[str, Any]:
-    """Where this record was measured, with a stable identity digest.
-
-    Only slow-moving facts participate in the digest (platform triple,
-    machine, CPU count, Python version) — not load averages or hostnames
-    that would fracture one machine's history into many.
-    """
-    info = {
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "processor": platform.processor(),
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "cpu_count": os.cpu_count() or 1,
-    }
-    digest_src = "|".join(f"{k}={info[k]}" for k in sorted(info))
-    info["fingerprint"] = hashlib.sha256(digest_src.encode()).hexdigest()[:16]
-    return info
 
 
 def git_sha() -> str:
@@ -89,135 +20,5 @@ def git_sha() -> str:
             check=True,
         )
         return out.stdout.strip()
-    except Exception:  # noqa: BLE001 — the record is still useful without it
+    except Exception:  # noqa: BLE001 — the context line is still useful without it
         return "unknown"
-
-
-def _make_engine(variant: str, store) -> Any:
-    if variant == "Volcano":
-        return VolcanoEngine(store)
-    return GES(store, _CONFIGS[variant]())
-
-
-def _cell_stats(samples: list[float]) -> dict[str, float]:
-    """p50/p95/mean/MAD milliseconds over one (variant, query) cell."""
-    arr = np.asarray(samples, dtype=np.float64) * 1e3
-    p50 = float(np.median(arr))
-    return {
-        "samples": int(len(arr)),
-        "p50_ms": p50,
-        "p95_ms": float(np.percentile(arr, 95)),
-        "mean_ms": float(arr.mean()),
-        "mad_ms": float(np.median(np.abs(arr - p50))),
-    }
-
-
-def record_run(
-    spec: WorkloadSpec | str = "full",
-    inject_slowdowns: Mapping[str, float] | None = None,
-    on_event: Any = None,
-) -> dict[str, Any]:
-    """Execute one pinned workload under the noise protocol; return the record.
-
-    ``inject_slowdowns`` (e.g. ``{"Expand": 2.0}``: 2 ms per Expand call)
-    installs real busy-wait operator delays for the duration of the run —
-    the regression gate's self-test — and is recorded into the entry so a
-    doctored record can never pass as an honest one.
-    """
-    if isinstance(spec, str):
-        spec = WORKLOADS[spec]
-    emit = on_event if on_event is not None else (lambda _msg: None)
-    run_started = now()
-
-    work = materialize(spec)
-    engines = {v: _make_engine(v, work.datasets[v].store) for v in spec.variants}
-    samples: dict[tuple[str, str], list[float]] = {}
-    totals: dict[str, dict[str, float]] = {
-        v: {
-            "ops": 0, "seconds": 0.0, "peak_bytes": 0,
-            "cache_hits": 0, "cache_misses": 0,
-            "flat_tuples": 0, "ftree_slots": 0,
-        }
-        for v in spec.variants
-    }
-
-    set_injected_slowdowns(inject_slowdowns)
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        queries = list(spec.read_queries) + list(spec.update_queries)
-        for rep in range(spec.warmup + spec.repeats):
-            measured = rep >= spec.warmup
-            for query in queries:
-                is_update = query in spec.update_queries
-                fn = REGISTRY[query].fn
-                for variant in spec.variants_for(query):
-                    engine = engines[variant]
-                    acc = totals[variant]
-                    for draw in range(spec.draws):
-                        params = (
-                            work.update_params_at(query, rep, draw)
-                            if is_update
-                            else work.read_params[query][draw]
-                        )
-                        stats = ExecStats()
-                        started = now()
-                        fn(engine, dict(params), stats)
-                        elapsed = now() - started
-                        if measured:
-                            samples.setdefault((variant, query), []).append(elapsed)
-                            acc["ops"] += 1
-                            acc["seconds"] += elapsed
-                        acc["peak_bytes"] = max(
-                            acc["peak_bytes"], stats.peak_intermediate_bytes
-                        )
-                        acc["cache_hits"] += stats.plan_cache_hits
-                        acc["cache_misses"] += stats.plan_cache_misses
-                        acc["flat_tuples"] += stats.flat_tuples
-                        acc["ftree_slots"] += stats.ftree_slots
-            emit(
-                f"repeat {rep + 1}/{spec.warmup + spec.repeats}"
-                + ("" if measured else " (warmup, discarded)")
-            )
-    finally:
-        set_injected_slowdowns(None)
-        if gc_was_enabled:
-            gc.enable()
-
-    variants: dict[str, Any] = {}
-    for variant in spec.variants:
-        acc = totals[variant]
-        lookups = acc["cache_hits"] + acc["cache_misses"]
-        variants[variant] = {
-            "queries": {
-                query: _cell_stats(samples[(variant, query)])
-                for query in queries
-                if (variant, query) in samples
-            },
-            "ops_per_second": (
-                acc["ops"] / acc["seconds"] if acc["seconds"] > 0 else 0.0
-            ),
-            "plan_cache_hit_rate": (
-                acc["cache_hits"] / lookups if lookups else None
-            ),
-            "compression_ratio": (
-                acc["flat_tuples"] / acc["ftree_slots"]
-                if acc["ftree_slots"]
-                else None
-            ),
-            "peak_fblock_bytes": int(acc["peak_bytes"]),
-        }
-
-    return {
-        "schema_version": TRAJECTORY_SCHEMA_VERSION,
-        "workload": spec.identity(),
-        "recorded_at": datetime.fromtimestamp(
-            wall_time(), tz=timezone.utc
-        ).isoformat(timespec="seconds"),
-        "git_sha": git_sha(),
-        "machine": machine_fingerprint(),
-        "injected_slowdowns": dict(inject_slowdowns or {}),
-        "elapsed_seconds": now() - run_started,
-        "variants": variants,
-    }

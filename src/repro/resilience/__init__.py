@@ -15,8 +15,9 @@ facade composes into that behavior:
   ``TransientError``);
 * :mod:`.degrade` — the graceful-degradation ladder (factorized → flat
   executor, cached → uncached compile, pooled → direct allocation);
-* :mod:`.faults` — a deterministic seeded fault-injection registry used
-  by the chaos campaign (``repro chaos``) and the stress harness.
+* :mod:`.faults` — the one deterministic seeded fault-injection registry:
+  transient sites for the chaos campaign (``repro chaos``) and the stress
+  harness, kill sites for the kill -9 crash harness.
 """
 
 from .admission import AdmissionController

@@ -8,37 +8,60 @@ the site's hit ordinal: the same campaign seed replays the same faults,
 which is what makes chaos failures shrinkable and debuggable (the same
 principle that made the PR-3 stress harness useful).
 
-Instrumented sites (the catalog is also documented in DESIGN.md):
+Instrumented sites (:data:`SITES` is the catalog; a test holds it equal
+to the literal site names passed to ``fire``/``maybe_fire`` in the code).
+A *transient* site raises :class:`~repro.errors.TransientError` when it
+fires — a member of the retryable set — so the chaos campaign can assert
+that every injected fault is retried, degraded, or surfaced typed, never
+a wrong answer:
 
-========================  ====================================================
-site                      choke point
-========================  ====================================================
-``memory_pool.acquire``   :meth:`MemoryPool.acquire` — degraded in place to a
-                          direct allocation (never surfaces to the query)
-``locks.acquire``         start of :meth:`LockManager.acquire_all` — before
-                          any lock is taken, so a fired fault leaves the
-                          transaction clean and re-committable
-``plan_cache.lookup``     :meth:`PlanCache.lookup` — the service degrades to
-                          an uncached compile
-``snapshot.load``         :func:`repro.storage.io.load_graph` entry
-``snapshot.save``         :func:`repro.storage.io.save_graph` entry — before
-                          any byte is written, so a fired fault can never
-                          leave a half-written snapshot behind
-``executor.operator``     every operator boundary (``OpTimer.__enter__`` and
-                          the Volcano dispatch loop)
-========================  ====================================================
+===============================  =============================================
+transient site                   choke point
+===============================  =============================================
+``memory_pool.acquire``          :meth:`MemoryPool.acquire` — degraded in place
+                                 to a direct allocation (never surfaces)
+``locks.acquire``                start of :meth:`LockManager.acquire_all` —
+                                 before any lock is taken, so a fired fault
+                                 leaves the transaction clean and re-committable
+``plan_cache.lookup``            :meth:`PlanCache.lookup` — the service degrades
+                                 to an uncached compile
+``snapshot.load``                :func:`repro.storage.io.load_graph` entry
+``snapshot.save``                :func:`repro.storage.io.save_graph` entry —
+                                 before any byte is written, so a fired fault
+                                 never leaves a half-written snapshot behind
+``executor.operator``            every operator boundary (``OpTimer.__enter__``
+                                 and the Volcano dispatch loop)
+===============================  =============================================
+
+A *kill* site SIGKILLs the process when it fires: no atexit handlers, no
+flushes, no cleanup — the closest a test gets to pulling the power cord.
+They mark the durability protocol's least convenient moments, in protocol
+order, and the kill -9 harness (:mod:`repro.testkit.crashtest`) fires
+exactly one ``(site, hit)`` pair in a forked child:
+
+===============================  =============================================
+kill site                        moment
+===============================  =============================================
+``commit.wal_append``            before the commit record's bytes are written
+``commit.wal_fsync``             record written, fsync not yet issued
+``commit.applied``               record durable, mutations applied
+``checkpoint.tmp_written``       temp snapshot complete, not yet renamed
+``checkpoint.renamed``           checkpoint visible, WAL not yet switched
+``checkpoint.segment_switched``  new WAL segment live, old not pruned
+``checkpoint.truncated``         mid-prune: some old files already gone
+===============================  =============================================
 
 Injection is process-global (module attribute ``ACTIVE``) so deep call
-sites need no plumbing; hot paths guard with ``if faults.ACTIVE is not
-None`` to keep the disabled cost at one attribute read.  Fired faults
-raise :class:`~repro.errors.TransientError` — a member of the retryable
-set — so the chaos campaign can assert that every injected fault is
-retried, degraded, or surfaced typed, never a wrong answer.
+sites need no plumbing; every site guards with ``if faults.ACTIVE is not
+None`` (or calls :func:`maybe_fire`), so the disarmed cost is one
+attribute read.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import signal
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -47,15 +70,29 @@ from typing import Any, Iterable, Iterator
 from ..errors import TransientError
 from ..obs.events import EVENTS
 
-#: Catalog of instrumented sites (kept in sync with the table above).
-SITES = (
-    "memory_pool.acquire",
-    "locks.acquire",
-    "plan_cache.lookup",
-    "snapshot.load",
-    "snapshot.save",
-    "executor.operator",
-)
+#: What firing a site does: raise ``TransientError``, or SIGKILL the process.
+TRANSIENT = "transient"
+KILL = "kill"
+
+#: The catalog of instrumented sites and what firing each one does.
+SITES: dict[str, str] = {
+    "memory_pool.acquire": TRANSIENT,
+    "locks.acquire": TRANSIENT,
+    "plan_cache.lookup": TRANSIENT,
+    "snapshot.load": TRANSIENT,
+    "snapshot.save": TRANSIENT,
+    "executor.operator": TRANSIENT,
+    "commit.wal_append": KILL,
+    "commit.wal_fsync": KILL,
+    "commit.applied": KILL,
+    "checkpoint.tmp_written": KILL,
+    "checkpoint.renamed": KILL,
+    "checkpoint.segment_switched": KILL,
+    "checkpoint.truncated": KILL,
+}
+
+#: The kill sites, in protocol order: what the crash harness sweeps.
+KILL_SITES = tuple(site for site, effect in SITES.items() if effect == KILL)
 
 
 @dataclass(frozen=True)
@@ -63,7 +100,9 @@ class FaultRule:
     """When a site fires: with *probability* per hit and/or every Nth hit.
 
     ``max_fires`` bounds the total (0 = unlimited) so a test can inject
-    exactly one fault and assert exactly one recovery.
+    exactly one fault and assert exactly one recovery;
+    ``FaultRule(site, every_nth=n, max_fires=1)`` fires on the *n*-th hit
+    and never again.
     """
 
     site: str
@@ -74,8 +113,12 @@ class FaultRule:
     def __post_init__(self) -> None:
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.probability}")
+        if self.every_nth < 0:
+            raise ValueError(f"every_nth must be >= 0, got {self.every_nth}")
+        if self.max_fires < 0:
+            raise ValueError(f"max_fires must be >= 0, got {self.max_fires}")
         if self.site not in SITES:
-            raise ValueError(f"unknown fault site {self.site!r}; known: {SITES}")
+            raise ValueError(f"unknown fault site {self.site!r}; known: {tuple(SITES)}")
 
 
 @dataclass
@@ -114,7 +157,8 @@ class FaultPlan:
             self._fired = {site: 0 for site in self._rules}
 
     def fire(self, site: str) -> None:
-        """Record a hit at *site*; raise ``TransientError`` if the rule fires."""
+        """Record a hit at *site*; if the rule fires, raise ``TransientError``
+        (a transient site) or SIGKILL this process (a kill site)."""
         rule = self._rules.get(site)
         if rule is None:
             return
@@ -131,6 +175,8 @@ class FaultPlan:
                 return
             self._fired[site] += 1
             ordinal = self._fired[site]
+        if SITES[site] == KILL:
+            os.kill(os.getpid(), signal.SIGKILL)
         EVENTS.emit("fault_fired", site=site, ordinal=ordinal)
         raise TransientError(f"injected fault at {site}")
 

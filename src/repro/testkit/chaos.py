@@ -39,7 +39,14 @@ from ..engine.service import GraphEngineService
 from ..errors import GesError
 from ..ldbc.validation import rows_bag
 from ..obs.clock import now
-from ..resilience.faults import SITES, FaultPlan, FaultRule, fault_scope
+from ..resilience.faults import (
+    KILL_SITES,
+    SITES,
+    TRANSIENT,
+    FaultPlan,
+    FaultRule,
+    fault_scope,
+)
 from ..resilience.retry import RetryPolicy, RetryStats
 from .graphgen import fuzz_schema, random_graph_spec, store_from_spec
 from .oracle import DifferentialOracle
@@ -169,13 +176,14 @@ class ChaosReport:
 
 
 def _chaos_plan(config: ChaosConfig, graph: int) -> FaultPlan:
-    """Probability faults on every site the campaign can reach."""
+    """Probability faults on every transient site the campaign can reach."""
     rules = tuple(
         FaultRule(site=site, probability=config.fault_probability)
-        for site in SITES
+        for site, effect in SITES.items()
+        # Kill sites only ever fire in the crash harness's forked child.
         # No snapshot I/O happens inside the loop; those sites get their
         # own dedicated coverage (snapshot-save check, crash harness).
-        if site not in ("snapshot.load", "snapshot.save")
+        if effect == TRANSIENT and site not in ("snapshot.load", "snapshot.save")
     )
     return FaultPlan(rules=rules, seed=config.seed * 1_000 + graph)
 
@@ -384,10 +392,9 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
     # murdered mid-protocol, parent recovers and compares differentially.
     if config.crash_runs > 0:
         from .crashtest import CrashConfig, run_crash
-        from ..durability.hooks import CRASH_SITES
 
         for c in range(config.crash_runs):
-            for site in CRASH_SITES:
+            for site in KILL_SITES:
                 crash = run_crash(
                     CrashConfig(
                         seed=seed * 100 + c,

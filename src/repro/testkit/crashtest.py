@@ -3,13 +3,13 @@
 One run proves one point of the durability protocol:
 
 1. **Fork** a child process that opens a durable engine over a fresh
-   database directory, arms exactly one seeded crash point
-   (:mod:`repro.durability.hooks`), and drives a deterministic sequence
-   of update batches through it, checkpointing every few batches.  After
-   each commit returns, the child *acknowledges* the commit version by
-   appending it to a side file — the harness's model of "the client was
-   told this write is durable".
-2. The armed site SIGKILLs the child mid-protocol — mid-commit, between
+   database directory, installs a fault plan that fires exactly one kill
+   site on one hit (:mod:`repro.resilience.faults`), and drives a
+   deterministic sequence of update batches through it, checkpointing
+   every few batches.  After each commit returns, the child
+   *acknowledges* the commit version by appending it to a side file —
+   the harness's model of "the client was told this write is durable".
+2. The kill site SIGKILLs the child mid-protocol — mid-commit, between
    a WAL append and its fsync, between a checkpoint's temp write and its
    rename, mid-truncation.  No cleanup runs; the database directory is
    whatever the crash left.
@@ -48,9 +48,9 @@ from pathlib import Path
 from typing import Any
 
 from ..durability import fsck
-from ..durability.hooks import CRASH_SITES, arm, disarm
 from ..engine.config import EngineConfig
 from ..engine.service import GES
+from ..resilience.faults import KILL_SITES, FaultPlan, FaultRule, fault_scope
 from ..storage.graph import GraphStore
 from ..txn.transaction import TransactionManager
 from .graphgen import fuzz_schema, random_graph_spec, store_from_spec
@@ -66,7 +66,7 @@ class CrashConfig:
     batches: int = 16
     #: Checkpoint after every N batches (0 = never).
     checkpoint_every: int = 5
-    #: Crash site to arm in the child (see ``hooks.CRASH_SITES``).
+    #: Kill site fired in the child (see ``faults.KILL_SITES``).
     kill_point: str = "commit.wal_fsync"
     #: Which hit of the site kills (0 = auto: mid-run for commit sites,
     #: first checkpoint for checkpoint sites).
@@ -211,17 +211,19 @@ def _child_main(
     try:
         ack_fd = os.open(ack_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         engine = GES.open(db, config=_engine_config(config), schema=store)
-        arm(config.kill_point, _auto_hit(config))
+        plan = FaultPlan(
+            [FaultRule(config.kill_point, every_nth=_auto_hit(config), max_fires=1)]
+        )
         manager = engine.txn_manager
-        for index, batch in enumerate(batches):
-            version = batch.apply(manager)
-            os.write(ack_fd, f"{version}\n".encode())
-            if (
-                config.checkpoint_every
-                and (index + 1) % config.checkpoint_every == 0
-            ):
-                engine.checkpoint()
-        disarm()
+        with fault_scope(plan):
+            for index, batch in enumerate(batches):
+                version = batch.apply(manager)
+                os.write(ack_fd, f"{version}\n".encode())
+                if (
+                    config.checkpoint_every
+                    and (index + 1) % config.checkpoint_every == 0
+                ):
+                    engine.checkpoint()
         engine.close()
         os._exit(0)
     except BaseException:  # noqa: BLE001 — anything here is a harness bug
@@ -232,9 +234,9 @@ def _child_main(
 def run_crash(config: CrashConfig | None = None) -> CrashReport:
     """One fork / kill -9 / recover / differential-compare cycle."""
     config = config if config is not None else CrashConfig()
-    if config.kill_point not in CRASH_SITES:
+    if config.kill_point not in KILL_SITES:
         raise ValueError(
-            f"unknown kill point {config.kill_point!r}; known: {CRASH_SITES}"
+            f"unknown kill point {config.kill_point!r}; known: {KILL_SITES}"
         )
     report = CrashReport(
         seed=config.seed,
@@ -377,7 +379,7 @@ def run_crash_matrix(
     """Sweep every crash site (× *runs* seeds); returns one report per run."""
     reports = []
     for offset in range(runs):
-        for site in sites if sites is not None else CRASH_SITES:
+        for site in sites if sites is not None else KILL_SITES:
             reports.append(
                 run_crash(
                     CrashConfig(

@@ -15,8 +15,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..durability.hooks import crashpoint
 from ..errors import TransactionAborted, TransactionError
+from ..resilience import faults
 from ..storage.graph import GraphReadView, GraphStore, VertexRef
 from ..storage.memory_pool import DEFAULT_POOL, MemoryPool
 from .locks import LockKey, LockManager
@@ -194,7 +194,8 @@ class Transaction:
                         store.add_edge(
                             edge.edge_label, src, dst, edge.props, version=commit_version
                         )
-                crashpoint("commit.applied")
+                if faults.ACTIVE is not None:
+                    faults.ACTIVE.fire("commit.applied")
             return commit_version
         finally:
             self.manager.locks.release_all(self._held_locks)

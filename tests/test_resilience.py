@@ -9,7 +9,11 @@ handling, driver error accounting, and the chaos campaign itself.
 from __future__ import annotations
 
 import json
+import os
+import re
+import signal
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +116,16 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultRule(site="locks.acquire", probability=1.5)
 
+    def test_negative_every_nth_rejected(self):
+        # every_nth=-2 would otherwise fire on every even hit.
+        with pytest.raises(ValueError, match="every_nth"):
+            FaultRule(site="locks.acquire", every_nth=-2)
+
+    def test_negative_max_fires_rejected(self):
+        # max_fires=-1 would otherwise silence a probability=1.0 rule.
+        with pytest.raises(ValueError, match="max_fires"):
+            FaultRule(site="locks.acquire", probability=1.0, max_fires=-1)
+
     def test_duplicate_sites_rejected(self):
         rules = (
             FaultRule(site="locks.acquire", every_nth=1),
@@ -170,6 +184,59 @@ class TestFaultPlan:
     def test_unlisted_site_never_fires(self):
         plan = FaultPlan(rules=(FaultRule(site="locks.acquire", every_nth=1),))
         plan.fire("plan_cache.lookup")  # not in the plan: must be a no-op
+
+    def test_kill_site_sigkills_on_its_hit(self):
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: three hits, the third one kills
+            try:
+                os.close(read_fd)
+                plan = FaultPlan(
+                    [FaultRule("commit.applied", every_nth=3, max_fires=1)]
+                )
+                for _ in range(3):
+                    plan.fire("commit.applied")
+                    os.write(write_fd, b".")
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as pipe:
+            survived = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        assert survived == b".."
+
+
+class TestSiteCatalog:
+    """``faults.SITES`` and the site literals in the code name the same set."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+    CALL = re.compile(r"\b(?:maybe_)?fire\(\s*\"([^\"]+)\"")
+
+    def _call_sites(self) -> dict[str, list[str]]:
+        found: dict[str, list[str]] = {}
+        for path in sorted(self.SRC.rglob("*.py")):
+            for site in self.CALL.findall(path.read_text()):
+                found.setdefault(site, []).append(str(path.relative_to(self.SRC)))
+        return found
+
+    def test_every_fired_site_is_in_the_catalog(self):
+        from repro.resilience.faults import SITES
+
+        unknown = {s: p for s, p in self._call_sites().items() if s not in SITES}
+        assert not unknown, f"sites fired but not in faults.SITES: {unknown}"
+
+    def test_every_catalog_site_has_a_call_site(self):
+        from repro.resilience.faults import SITES
+
+        missing = sorted(set(SITES) - set(self._call_sites()))
+        assert not missing, f"faults.SITES entries no code fires: {missing}"
+
+    def test_every_site_raises_or_kills(self):
+        # FaultPlan.fire treats any effect but KILL as transient.
+        from repro.resilience.faults import KILL, SITES, TRANSIENT
+
+        assert set(SITES.values()) == {TRANSIENT, KILL}
 
 
 # -- retry -----------------------------------------------------------------------
@@ -601,6 +668,13 @@ class TestChaosCampaign:
             )
         )
         assert report.passed, [str(v) for v in report.violations[:3]]
+
+    def test_campaign_plan_never_holds_a_kill_site(self):
+        from repro.resilience.faults import SITES, TRANSIENT
+        from repro.testkit.chaos import _chaos_plan
+
+        plan = _chaos_plan(ChaosConfig(fault_probability=1.0), graph=0)
+        assert plan.rules and all(SITES[r.site] == TRANSIENT for r in plan.rules)
 
 
 # -- corrupt snapshots (satellite: storage/io error wrapping) --------------------
