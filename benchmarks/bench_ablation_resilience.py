@@ -1,17 +1,17 @@
 """Ablation — the resilience layer's query-path overhead when armed.
 
-Watchdog deadlines, admission control, and the retry wrapper all sit on
-``GES.execute``: the deadline is checked at every operator boundary and
-at strided chunk boundaries inside expansion/enumeration loops, and
-admission takes a lock-protected slot around each query.
+Watchdog deadlines and the retry wrapper both sit on ``GES.execute``: the
+deadline is checked at every operator boundary and at strided chunk
+boundaries inside expansion/enumeration loops, and the retry policy wraps
+each attempt.
 
 Two costs matter, with different budgets:
 
-* **disabled** (the default config) must be free — the resilience guards
-  are ``x is not None`` checks that keep the pre-existing fast path
-  byte-for-byte, and the perf trajectory gate (PR 4) holds that path to
-  its recorded baseline (<2% drift);
-* **armed** (deadline + retry + admission configured, none firing) pays a
+* **disabled** (the default config) must be free — with no deadline and
+  no retry policy ``GES.execute`` calls the one attempt directly, and a
+  regression on that path is judged by alternating parent/change pairs
+  of ``bench/run.py`` against the bounds in ``BENCHMARK.json``;
+* **armed** (deadline + retry configured, neither firing) pays a
   few microseconds of fixed cost per query — measured here as the
   armed/disarmed total-runtime ratio over the figure-2 IC set, with an
   assert sized for CI noise (the interleaved minima land around +1-3% on
@@ -32,16 +32,9 @@ SCALE = "SF1"
 DRAWS = 3
 REPEATS = 8
 
-#: Armed-but-never-firing: a deadline far above any IC runtime, a retry
-#: policy that only engages on retryable errors, and admission limits the
-#: single-threaded sweep never reaches.
-ARMED = dict(
-    query_timeout_ms=60_000.0,
-    retry_attempts=3,
-    max_concurrent_queries=8,
-    admission_queue_limit=16,
-    memory_budget_bytes=1 << 30,
-)
+#: Armed-but-never-firing: a deadline far above any IC runtime and a retry
+#: policy that only engages on retryable errors.
+ARMED = dict(query_timeout_ms=60_000.0, retry_attempts=3)
 
 
 def run_ablation():

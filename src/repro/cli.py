@@ -320,6 +320,7 @@ def cmd_flightrec(args: argparse.Namespace) -> int:
     fuzz harness attaches to failure artifacts.
     """
     import json
+    from pathlib import Path
 
     from .obs.flightrec import render_flight_dump
 
@@ -330,6 +331,9 @@ def cmd_flightrec(args: argparse.Namespace) -> int:
             f"variant {args.variant!r} has no flight recorder "
             "(EngineConfig.flight_recorder is 0)"
         )
+    if args.out:
+        # Before the workload: a bad --out fails fast, not after the run.
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     BenchmarkDriver(engine, dataset, seed=args.seed).run(args.ops)
     dump = engine.flight.dump(last=args.last)
     if args.format == "json":
@@ -337,8 +341,6 @@ def cmd_flightrec(args: argparse.Namespace) -> int:
     else:
         text = render_flight_dump(dump)
     if args.out:
-        from pathlib import Path
-
         Path(args.out).write_text(text + "\n")
         print(f"flight-recorder dump written to {args.out}", file=sys.stderr)
     else:

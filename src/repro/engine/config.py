@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Module selection plus runtime knobs for one engine instance."""
+    """Module selection plus runtime knobs for one engine instance.
+
+    Behaviour that is not a knob: the degradation ladder is always on (a
+    factorized executor failure re-runs on the flat executor, a faulting
+    plan cache costs an uncached compile), the flight recorder pins
+    queries slower than 50 ms, and a durable engine keeps the two newest
+    checkpoints.
+    """
 
     name: str = "GES_f*"
     executor: str = "factorized"  # execution.executor module
@@ -24,21 +31,14 @@ class EngineConfig:
     tracing: bool = False  # per-query span trees (repro.obs.tracing)
     metrics: bool = True  # engine-level instruments (repro.obs.metrics)
     flight_recorder: int = 64  # last-N query ring size (0 disables)
-    slow_query_ms: float = 50.0  # pin queries slower than this in the slow ring
-    # --- resilience knobs (repro.resilience; all off by default except the
-    # --- degradation ladder, which only changes what happens on failure) ---
+    # --- resilience knobs (repro.resilience; off by default) ---
     query_timeout_ms: float = 0.0  # per-query deadline (0 = unbounded)
-    max_concurrent_queries: int = 0  # admission concurrency limit (0 = off)
-    admission_queue_limit: int = 0  # bounded wait queue depth (0 = no queue)
-    memory_budget_bytes: int = 0  # estimated-memory admission budget (0 = off)
     retry_attempts: int = 0  # total attempts for retryable errors (0/1 = off)
     retry_backoff_ms: float = 1.0  # base backoff before the first retry
     retry_seed: int = 0  # seed for deterministic retry jitter
-    degrade: bool = True  # graceful degradation ladder (executor fallback, …)
     # --- durability knobs (repro.durability; off by default — in-memory) ---
     durability: str | None = None  # None (off) | "fsync" | "batch" WAL mode
     wal_batch_every: int = 8  # batch mode: fsync every N commit appends
-    checkpoint_keep: int = 2  # checkpoints retained (older ones pruned)
 
     @classmethod
     def ges(cls, **knobs) -> "EngineConfig":

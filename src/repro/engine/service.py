@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
-from typing import Callable, TypeVar
-
-from ..errors import AdmissionRejected, GesError, QueryTimeout, StorageError
+from ..errors import GesError, QueryTimeout, StorageError
 from ..exec.base import ExecStats, QueryResult
 from ..frontend.cypher.lexer import normalize
 from ..obs.clock import now
@@ -35,23 +33,16 @@ from ..obs.flightrec import FlightRecorder
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import Span
 from ..plan.logical import LogicalPlan
-from ..resilience.admission import AdmissionController
-from ..resilience.degrade import with_fallback
 from ..resilience.retry import RetryPolicy
 from ..resilience.watchdog import Deadline, pop_deadline, push_deadline
 from ..storage.catalog import GraphSchema
 from ..storage.graph import GraphReadView, GraphStore
-from ..storage.memory_pool import MemoryPool
 from ..txn.transaction import Transaction, TransactionManager
 from .config import EngineConfig
 from .plan_cache import PlanCache, bind_literals, plan_fingerprint
 from .registry import ModuleRegistry, default_registry
 
 T = TypeVar("T")
-
-#: EWMA weight of the newest observation when updating the per-engine
-#: estimate of a query's peak intermediate footprint (admission control).
-_MEM_EWMA_ALPHA = 0.2
 
 
 class GraphEngineService:
@@ -62,7 +53,6 @@ class GraphEngineService:
         schema: GraphSchema | GraphStore,
         config: EngineConfig | None = None,
         registry: ModuleRegistry | None = None,
-        pool: MemoryPool | None = None,
     ) -> None:
         self.config = config if config is not None else EngineConfig.ges_f_star()
         self.registry = registry if registry is not None else default_registry()
@@ -70,7 +60,7 @@ class GraphEngineService:
             self.store = schema
         else:
             self.store = GraphStore(schema)
-        self.txn_manager = TransactionManager(self.store, pool)
+        self.txn_manager = TransactionManager(self.store)
         self._parse = self.registry.resolve("frontend", "parser", self.config.parser)
         self._execute = self.registry.resolve(
             "execution", "executor", self.config.executor
@@ -83,7 +73,7 @@ class GraphEngineService:
         )
         self._schema_fingerprint = self.store.schema.fingerprint()
         self.flight: FlightRecorder | None = (
-            FlightRecorder(self.config.flight_recorder, self.config.slow_query_ms)
+            FlightRecorder(self.config.flight_recorder)
             if self.config.flight_recorder > 0
             else None
         )
@@ -92,7 +82,7 @@ class GraphEngineService:
         # query path only ever sees a bound callable or None).
         self._fallback_execute = (
             self.registry.resolve("execution", "executor", "flat")
-            if self.config.degrade and self.config.executor == "factorized"
+            if self.config.executor == "factorized"
             else None
         )
         self.retry_policy: RetryPolicy | None = (
@@ -104,21 +94,6 @@ class GraphEngineService:
             if self.config.retry_attempts > 1
             else None
         )
-        pool_ref = self.txn_manager.pool
-        self.admission: AdmissionController | None = (
-            AdmissionController(
-                max_concurrent=self.config.max_concurrent_queries,
-                queue_limit=self.config.admission_queue_limit,
-                memory_budget_bytes=self.config.memory_budget_bytes,
-                pool_bytes=lambda: pool_ref.pooled_bytes,
-            )
-            if self.config.max_concurrent_queries > 0
-            or self.config.memory_budget_bytes > 0
-            else None
-        )
-        #: EWMA of observed peak intermediate bytes — the admission
-        #: controller's estimate of what the next query will need.
-        self._mem_ewma = 0.0
         #: :class:`repro.durability.DurabilityManager` when this engine is
         #: backed by a durable directory (see :meth:`open`); None otherwise.
         self.durability: Any = None
@@ -133,7 +108,6 @@ class GraphEngineService:
         path: str | Path,
         config: EngineConfig | None = None,
         registry: ModuleRegistry | None = None,
-        pool: MemoryPool | None = None,
         schema: GraphSchema | GraphStore | None = None,
     ) -> "GraphEngineService":
         """Open a durable database directory — or create one from *schema*.
@@ -158,14 +132,13 @@ class GraphEngineService:
         db = Path(path)
         if (db / "GESDB.json").exists():
             result = recover(db)
-            service = cls(result.store, config=config, registry=registry, pool=pool)
+            service = cls(result.store, config=config, registry=registry)
             service.txn_manager.versions.advance_to(result.version)
             service.durability = DurabilityManager.attach(
                 db,
                 result,
                 mode=mode,
                 batch_every=config.wal_batch_every,
-                keep=config.checkpoint_keep,
             )
             service.recovery = result
         else:
@@ -173,13 +146,12 @@ class GraphEngineService:
                 raise StorageError(
                     f"{db} is not a GES database; pass schema= to create one"
                 )
-            service = cls(schema, config=config, registry=registry, pool=pool)
+            service = cls(schema, config=config, registry=registry)
             service.durability = DurabilityManager.initialise(
                 db,
                 service.store,
                 mode=mode,
                 batch_every=config.wal_batch_every,
-                keep=config.checkpoint_keep,
             )
         service.txn_manager.wal = service.durability
         return service
@@ -204,7 +176,6 @@ class GraphEngineService:
         if not self.config.metrics:
             self._m_queries = None
             self._m_timeouts = None
-            self._m_rejections = None
             self._m_retries = None
             self._m_degraded = None
             self._m_inflight = None
@@ -238,11 +209,6 @@ class GraphEngineService:
         self._m_timeouts = REGISTRY.counter(
             "ges_query_timeouts_total",
             "Queries cancelled by the watchdog deadline.",
-            variant=variant,
-        )
-        self._m_rejections = REGISTRY.counter(
-            "ges_admission_rejected_total",
-            "Queries refused by the admission controller.",
             variant=variant,
         )
         self._m_retries = REGISTRY.counter(
@@ -343,8 +309,6 @@ class GraphEngineService:
             except GesError:
                 # Degradation ladder: a faulting plan cache costs one
                 # uncached compile, never the query.
-                if not self.config.degrade:
-                    raise
                 self._note_degraded(stats, "plan_cache")
                 key = None
                 cached = None
@@ -410,12 +374,11 @@ class GraphEngineService:
         tree; engine-level metrics are updated either way when
         ``config.metrics`` is on.
 
-        The resilience layer wraps the call when configured: admission
-        control outermost (``AdmissionRejected`` on overload), then the
-        watchdog deadline (*timeout* seconds, defaulting to
-        ``config.query_timeout_ms``; ``QueryTimeout`` on expiry), then the
-        retry policy for retryable failures.  With everything at its
-        defaults the fast path below is unchanged.
+        The resilience layer wraps the call when configured: the watchdog
+        deadline (*timeout* seconds, defaulting to
+        ``config.query_timeout_ms``; ``QueryTimeout`` on expiry) around the
+        retry policy for retryable failures.  With both off the call goes
+        straight to the one attempt.
         """
         if stats is None:
             stats = ExecStats()
@@ -424,40 +387,23 @@ class GraphEngineService:
         timeout_s = timeout
         if timeout_s is None and self.config.query_timeout_ms > 0:
             timeout_s = self.config.query_timeout_ms / 1e3
-        if (
-            timeout_s is None
-            and self.retry_policy is None
-            and self.admission is None
-        ):
+        if timeout_s is None and self.retry_policy is None:
             return self._execute_guarded(query, params, view, stats)
         deadline = (
             Deadline.after(timeout_s) if timeout_s is not None else None
         )
-        admission = self.admission
-        estimate = 0
         prev, effective = push_deadline(deadline)
         try:
-            if admission is not None:
-                estimate = self._mem_estimate()
-                admission._acquire(estimate)
-            try:
-                if self.retry_policy is None:
-                    return self._execute_guarded(query, params, view, stats)
-                return self.retry_policy.run(
-                    lambda: self._execute_guarded(query, params, view, stats),
-                    deadline=effective,
-                    on_retry=self._count_retry,
-                )
-            finally:
-                if admission is not None:
-                    admission._release(estimate)
+            if self.retry_policy is None:
+                return self._execute_guarded(query, params, view, stats)
+            return self.retry_policy.run(
+                lambda: self._execute_guarded(query, params, view, stats),
+                deadline=effective,
+                on_retry=self._count_retry,
+            )
         except QueryTimeout:
             if self._m_timeouts is not None:
                 self._m_timeouts.inc()
-            raise
-        except AdmissionRejected:
-            if self._m_rejections is not None:
-                self._m_rejections.inc()
             raise
         finally:
             pop_deadline(prev)
@@ -469,9 +415,15 @@ class GraphEngineService:
         view: GraphReadView | None,
         stats: ExecStats,
     ) -> QueryResult:
-        """One execution attempt: compile, execute (with the degradation
-        ladder's executor fallback), record metrics and the flight entry —
-        with the in-flight gauge held around it."""
+        """One execution attempt: compile, execute, record metrics and the
+        flight entry — with the in-flight gauge held around it.
+
+        Degradation ladder: a ``GesError`` from the factorized executor
+        re-runs the plan on the flat executor.  A ``QueryTimeout`` never
+        degrades (the flat rung would blow the same budget), and when the
+        flat rung fails too the primary error is the one raised, so callers
+        see the same error type whichever rung they ended on.
+        """
         gauge = self._m_inflight
         if gauge is not None:
             gauge.add(1)
@@ -489,16 +441,20 @@ class GraphEngineService:
                 params = {**(params or {}), **values}
             if view is None:
                 view = self.read_view()
-            if self._fallback_execute is None:
+            try:
                 result = self._execute(physical, view, params, stats)
-            else:
-                result = with_fallback(
-                    lambda: self._execute(physical, view, params, stats),
-                    lambda: self._fallback_execute(physical, view, params, stats),
-                    on_degrade=lambda exc: self._note_degraded(
-                        stats, f"executor:{type(exc).__name__}"
-                    ),
-                )
+            except QueryTimeout:
+                raise
+            except GesError as primary:
+                if self._fallback_execute is None:
+                    raise
+                self._note_degraded(stats, f"executor:{type(primary).__name__}")
+                try:
+                    result = self._fallback_execute(physical, view, params, stats)
+                except QueryTimeout:
+                    raise
+                except GesError:
+                    raise primary
             if stats.trace is not None:
                 stats.trace.touch()
                 stats.trace.root.attrs["rows"] = len(result)
@@ -525,18 +481,10 @@ class GraphEngineService:
                     stats=stats,
                     metrics_snapshot=self._metrics_snapshot(),
                 )
-            self._mem_ewma += _MEM_EWMA_ALPHA * (
-                stats.peak_intermediate_bytes - self._mem_ewma
-            )
             return result
         finally:
             if gauge is not None:
                 gauge.add(-1)
-
-    def _mem_estimate(self) -> int:
-        """Estimated peak intermediate footprint of the next query (EWMA of
-        what this engine has observed so far; 0 until the first query)."""
-        return int(self._mem_ewma)
 
     def _note_degraded(self, stats: ExecStats | None, reason: str) -> None:
         if stats is not None:
@@ -706,12 +654,6 @@ class GraphEngineService:
                     if self.retry_policy is not None
                     else {"enabled": False}
                 ),
-                "admission": (
-                    self.admission.describe()
-                    if self.admission is not None
-                    else {"enabled": False}
-                ),
-                "degrade": self.config.degrade,
             },
             "durability": (
                 self.durability.describe()

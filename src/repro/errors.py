@@ -58,10 +58,6 @@ class QueryTimeout(GesError):
     """The query exceeded its deadline and was cooperatively cancelled."""
 
 
-class AdmissionRejected(GesError):
-    """The service refused the query: concurrency/memory budget exhausted."""
-
-
 class TransientError(GesError):
     """A retryable transient failure (injected fault or recoverable glitch)."""
 

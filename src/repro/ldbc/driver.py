@@ -56,7 +56,7 @@ class OperationLog:
     """Measured outcome of one operation.
 
     ``error`` is None on success; on a typed engine failure (timeout,
-    admission rejection, aborted transaction, …) it carries the error
+    aborted transaction, …) it carries the error
     class name plus message and ``rows`` is 0 — per-query error
     accounting instead of the whole run aborting (LDBC SNB measures
     sustainable throughput under an SLA *with* an error budget).
@@ -336,9 +336,9 @@ class BenchmarkDriver:
                 with deadline_scope(deadline):
                     rows = definition.fn(self.engine, op.params, stats)
             except GesError as exc:
-                # Typed engine failures (timeouts, admission rejections,
-                # aborts) are part of a benchmark run under load: account
-                # them per-operation and keep the run going.
+                # Typed engine failures (timeouts, aborts) are part of a
+                # benchmark run under load: account them per-operation and
+                # keep the run going.
                 failure = f"{type(exc).__name__}: {exc}"
             except Exception as exc:  # raw exception: the run itself is broken
                 error = DriverError(f"{op.name} failed with params {op.params}")

@@ -2,9 +2,8 @@
 
 Metrics answer "how much" and spans answer "where did this query spend its
 time"; neither answers "what happened to the service" — a checkpoint was
-written, recovery replayed the WAL, admission started rejecting, a chaos
-fault fired.  Those are discrete lifecycle *events*, and
-this module records them as one process-wide, append-only sequence:
+written, recovery replayed the WAL, a query degraded, a chaos fault fired.
+Those are discrete lifecycle *events*, and this module records them as one process-wide, append-only sequence:
 
 * every event gets a monotonically increasing ``seq`` under one lock, so
   the log is a total order even when emitters race across threads;

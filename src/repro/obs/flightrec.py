@@ -5,7 +5,7 @@ its time" — but only when it was switched on *before* the query ran, and
 the tree evaporates when the caller drops the stats object.  The flight
 recorder closes that gap: every :meth:`~repro.engine.service.GraphEngineService.execute`
 call appends one compact :class:`FlightRecord` to a bounded ring, and any
-query slower than ``EngineConfig.slow_query_ms`` is *additionally* pinned
+query slower than the recorder's ``slow_ms`` (50 ms) is *additionally* pinned
 in a separate slow-query ring so a burst of fast queries cannot evict the
 interesting one.  When something was slow or wrong five minutes ago, the
 evidence is still in process memory.

@@ -3,8 +3,8 @@
 Only the *retryable* error set is retried: optimistic-concurrency aborts
 (``TransactionAborted``), lock-wait expiry (``LockTimeout``), and injected
 transients (``TransientError``).  Everything else — syntax errors, plan
-errors, timeouts, admission rejections — propagates immediately; retrying
-those would either never succeed or violate the caller's budget.
+errors, timeouts — propagates immediately; retrying those would either
+never succeed or violate the caller's budget.
 
 Jitter is drawn from ``random.Random(f"{seed}:retry")`` so two runs with
 the same seed back off identically — the same determinism contract as the

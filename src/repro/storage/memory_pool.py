@@ -89,8 +89,8 @@ class MemoryPool:
 
     @property
     def pooled_bytes(self) -> int:
-        """Total bytes parked in the freelists (the admission controller's
-        view of how much memory the pool is already holding)."""
+        """Total bytes parked in the freelists (how much memory the pool is
+        already holding)."""
         with self._lock:
             return sum(
                 buffer.nbytes

@@ -223,7 +223,6 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
                 retry_attempts=config.retry_attempts,
                 retry_backoff_ms=0.0,
                 retry_seed=seed,
-                degrade=True,
             ),
         )
         plan = _chaos_plan(config, g)

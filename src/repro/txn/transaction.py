@@ -18,7 +18,7 @@ from typing import Any, Mapping
 from ..errors import TransactionAborted, TransactionError
 from ..resilience import faults
 from ..storage.graph import GraphReadView, GraphStore, VertexRef
-from ..storage.memory_pool import DEFAULT_POOL, MemoryPool
+from ..storage.memory_pool import DEFAULT_POOL
 from .locks import LockKey, LockManager
 from .snapshot import SnapshotOverlay, VertexSnapshot
 from .version import VersionManager
@@ -50,9 +50,9 @@ class _StagedPropertyWrite:
 class TransactionManager:
     """Factory and coordinator for transactions over one graph store."""
 
-    def __init__(self, store: GraphStore, pool: MemoryPool | None = None) -> None:
+    def __init__(self, store: GraphStore) -> None:
         self.store = store
-        self.pool = pool if pool is not None else DEFAULT_POOL
+        self.pool = DEFAULT_POOL
         self.versions = VersionManager()
         self.locks = LockManager()
         self.overlay = SnapshotOverlay(self.pool)

@@ -103,9 +103,7 @@ class TestLifecycle:
             reopened.close()
 
     def test_checkpoint_retention_prunes(self, db):
-        engine = GES.open(
-            db, config=_config(checkpoint_keep=2), schema=build_micro_store()
-        )
+        engine = GES.open(db, config=_config(), schema=build_micro_store())
         try:
             for round_ in range(4):
                 _commit_person(engine, f"p{round_}")

@@ -1,8 +1,8 @@
 """Tests for the always-on flight recorder (repro.obs.flightrec).
 
 Ring semantics first (recent is FIFO-bounded, slow queries survive recent
-eviction), then the engine integration (every execute lands a record, the
-slow threshold honors ``EngineConfig.slow_query_ms``, traced runs retain
+eviction), then the engine integration (every execute lands a record, a
+query over the recorder's slow threshold is pinned, traced runs retain
 their span tree), and finally the failure-artifact path: a fuzz campaign
 against a broken engine must archive the oracle engines' flight dumps
 next to the corpus entry.
@@ -127,11 +127,10 @@ class TestEngineIntegration:
         engine.execute("MATCH (p:Person) RETURN count(*) AS n")
         assert engine.flight is None
 
-    def test_slow_query_ms_config_is_honored(self, dataset):
+    def test_engine_pins_queries_over_the_slow_threshold(self, dataset):
         # Threshold 0 ms: every real query exceeds it and lands in slow.
-        engine = GES(
-            dataset.store, EngineConfig.ges_f_star(slow_query_ms=0.0)
-        )
+        engine = GES(dataset.store, EngineConfig.ges_f_star())
+        engine.flight.slow_ms = 0.0
         engine.execute("MATCH (p:Person) RETURN count(*) AS n")
         assert engine.flight.slow_recorded == 1
 
@@ -207,3 +206,13 @@ class TestFlightrecCli:
         dump = json.loads(out.read_text())
         assert dump["schema_version"] == FLIGHT_DUMP_SCHEMA_VERSION
         assert dump["recorded"] > 0
+
+    def test_cli_out_creates_missing_directory(self, tmp_path):
+        from repro.cli import main
+
+        out = tmp_path / "not" / "yet" / "dump.json"
+        assert main([
+            "flightrec", "--scale", "SF1", "--ops", "5",
+            "--format", "json", "--out", str(out),
+        ]) == 0
+        assert json.loads(out.read_text())["recorded"] > 0

@@ -1,9 +1,9 @@
 """Tests for the service resilience layer (PR 5).
 
 Covers the watchdog deadline plumbing across all four executor variants,
-the admission controller, bounded retry with deterministic jitter, the
-graceful-degradation ladder, seeded fault injection, corrupt-snapshot
-handling, driver error accounting, and the chaos campaign itself.
+bounded retry with deterministic jitter, the graceful-degradation ladder,
+seeded fault injection, corrupt-snapshot handling, driver error accounting,
+and the chaos campaign itself.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import json
 import os
 import re
 import signal
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +19,9 @@ import pytest
 
 from repro import EngineConfig, GES
 from repro.baselines import VolcanoEngine
+from repro.engine.registry import ModuleRegistry, default_registry
+from repro.exec.base import ExecStats
 from repro.errors import (
-    AdmissionRejected,
     GesError,
     QueryTimeout,
     StorageError,
@@ -31,7 +31,6 @@ from repro.ldbc import BenchmarkDriver, generate
 from repro.ldbc.queries import REGISTRY as LDBC_REGISTRY, LdbcQueryDef
 from repro.ldbc.validation import rows_bag
 from repro.resilience import (
-    AdmissionController,
     Deadline,
     FaultPlan,
     FaultRule,
@@ -39,15 +38,12 @@ from repro.resilience import (
     current_deadline,
     deadline_scope,
     fault_scope,
-    with_fallback,
 )
 from repro.resilience.retry import RetryStats
 from repro.resilience.watchdog import TICK_STRIDE
 from repro.storage.graph import VertexRef
 from repro.storage.io import load_graph, save_graph, write_manifest
 from repro.testkit import ChaosConfig, StressConfig, run_chaos, run_stress
-
-from .conftest import wait_until
 
 LONG_QUERY = "MATCH (a:Person)-[:KNOWS*1..3]->(b) RETURN id(b)"
 
@@ -308,109 +304,6 @@ class TestRetryPolicy:
             RetryPolicy(attempts=0)
 
 
-# -- admission -------------------------------------------------------------------
-
-
-class TestAdmissionController:
-    def test_disabled_controller_admits_everything(self):
-        ctrl = AdmissionController()
-        assert not ctrl.enabled
-        with ctrl.admit():
-            with ctrl.admit():
-                assert ctrl.inflight == 2
-
-    def test_concurrency_limit_rejects_when_queue_off(self):
-        ctrl = AdmissionController(max_concurrent=1)
-        with ctrl.admit():
-            with pytest.raises(AdmissionRejected, match="queue"):
-                with ctrl.admit():
-                    pass
-        assert ctrl.rejected["queue_full"] == 1
-
-    def test_queue_timeout_rejects(self):
-        ctrl = AdmissionController(
-            max_concurrent=1, queue_limit=4, queue_timeout_ms=5.0
-        )
-        with ctrl.admit():
-            with pytest.raises(AdmissionRejected):
-                with ctrl.admit():
-                    pass
-        assert ctrl.rejected["queue_timeout"] == 1
-
-    def test_queued_query_admitted_on_release(self):
-        ctrl = AdmissionController(
-            max_concurrent=1, queue_limit=4, queue_timeout_ms=5_000.0
-        )
-        admitted = threading.Event()
-
-        def contender():
-            with ctrl.admit():
-                admitted.set()
-
-        with ctrl.admit():
-            thread = threading.Thread(target=contender)
-            thread.start()
-            # Release only once the contender is queued, however slowly its
-            # thread starts.
-            wait_until(lambda: ctrl.queued == 1, "the contender to queue")
-            assert not admitted.is_set()
-        thread.join(timeout=30.0)
-        assert admitted.is_set()
-        assert ctrl.queued == 1
-
-    def test_memory_budget_rejects_immediately(self):
-        ctrl = AdmissionController(memory_budget_bytes=1_000)
-        with ctrl.admit(estimate_bytes=900):
-            with pytest.raises(AdmissionRejected, match="memory"):
-                with ctrl.admit(estimate_bytes=900):
-                    pass
-        assert ctrl.rejected["memory"] == 1
-
-    def test_first_query_always_admitted(self):
-        # Even an estimate far above budget is admitted when nothing is
-        # inflight — otherwise an over-budget estimate would deadlock.
-        ctrl = AdmissionController(memory_budget_bytes=10)
-        with ctrl.admit(estimate_bytes=10_000):
-            pass
-        assert ctrl.admitted == 1
-
-    def test_release_on_error(self):
-        ctrl = AdmissionController(max_concurrent=1)
-        with pytest.raises(RuntimeError):
-            with ctrl.admit():
-                raise RuntimeError("query blew up")
-        assert ctrl.inflight == 0
-        with ctrl.admit():  # slot must have been released
-            pass
-
-
-class TestEngineAdmission:
-    def test_engine_rejects_when_full(self, micro_store):
-        engine = GES(
-            micro_store,
-            EngineConfig.ges(max_concurrent_queries=1, admission_queue_limit=0),
-        )
-        assert engine.admission is not None
-        with engine.admission.admit():
-            with pytest.raises(AdmissionRejected):
-                engine.execute("MATCH (p:Person) RETURN id(p)")
-        # Slot freed: the same query is admitted now.
-        result = engine.execute("MATCH (p:Person) RETURN id(p)")
-        assert len(result.rows) == 5
-
-    def test_describe_reports_resilience_block(self, micro_store):
-        engine = GES(
-            micro_store,
-            EngineConfig.ges_f_star(
-                query_timeout_ms=100.0, retry_attempts=3, max_concurrent_queries=2
-            ),
-        )
-        block = engine.describe()["resilience"]
-        assert block["query_timeout_ms"] == 100.0
-        assert block["retry"]["attempts"] == 3
-        assert block["admission"]["max_concurrent"] == 2
-
-
 # -- timeout matrix: all four variants honor a near-zero deadline ----------------
 
 
@@ -461,69 +354,94 @@ class TestTimeoutMatrix:
 # -- degradation ladder ----------------------------------------------------------
 
 
-class TestWithFallback:
-    def test_primary_success_skips_fallback(self):
-        assert with_fallback(lambda: "primary", lambda: "fallback") == "primary"
+def _ladder_registry(factorized=None, flat=None):
+    """The default modules, with the factorized and flat executor slots
+    replaced by *factorized* / *flat* where given; every executor call is
+    counted in the returned dict."""
+    base = default_registry()
+    registry = ModuleRegistry()
+    for layer, component in (("frontend", "parser"), ("execution", "optimizer")):
+        for name in base.available(layer, component):
+            module = base.resolve(layer, component, name)
+            registry.register(layer, component, name, module)
+    calls = {"factorized": 0, "flat": 0}
+    for name, module in (("factorized", factorized), ("flat", flat)):
+        module = module or base.resolve("execution", "executor", name)
 
-    def test_ges_error_degrades_to_fallback(self):
-        degraded = []
+        def counted(*args, _name=name, _module=module):
+            calls[_name] += 1
+            return _module(*args)
 
-        def primary():
-            raise TransientError("injected")
+        registry.register("execution", "executor", name, counted)
+    return registry, calls
 
-        out = with_fallback(primary, lambda: "fallback", on_degrade=degraded.append)
-        assert out == "fallback"
-        assert len(degraded) == 1
 
-    def test_double_failure_raises_original(self):
-        def primary():
-            raise TransientError("original")
+def _raising(error):
+    def executor(*_args):
+        raise error
 
-        def fallback():
-            raise StorageError("secondary")
-
-        with pytest.raises(TransientError, match="original"):
-            with_fallback(primary, fallback)
-
-    def test_timeout_never_degrades(self):
-        def primary():
-            raise QueryTimeout("deadline")
-
-        with pytest.raises(QueryTimeout):
-            with_fallback(primary, lambda: "fallback")
-
-    def test_raw_exception_not_degraded(self):
-        def primary():
-            raise ValueError("bug, not an engine error")
-
-        with pytest.raises(ValueError):
-            with_fallback(primary, lambda: "fallback")
+    return executor
 
 
 class TestEngineDegradation:
+    def test_primary_success_skips_fallback(self, micro_store):
+        registry, calls = _ladder_registry()
+        engine = GES(micro_store, EngineConfig.ges_f_star(), registry=registry)
+        engine.execute(LONG_QUERY)
+        assert calls == {"factorized": 1, "flat": 0}
+
+    def test_ges_error_degrades_to_fallback(self, micro_store):
+        flat = GES(micro_store, EngineConfig.ges())
+        expected = rows_bag(flat.execute(LONG_QUERY).rows)
+        registry, calls = _ladder_registry(factorized=_raising(StorageError("boom")))
+        engine = GES(micro_store, EngineConfig.ges_f_star(), registry=registry)
+        stats = ExecStats()
+        result = engine.execute(LONG_QUERY, stats=stats)
+        assert rows_bag(result.rows) == expected
+        assert calls == {"factorized": 1, "flat": 1}
+        assert stats.degrade_count == 1
+        assert stats.degrade_reasons == ["executor:StorageError"]
+
+    def test_double_failure_raises_original(self, micro_store):
+        registry, calls = _ladder_registry(
+            factorized=_raising(TransientError("original")),
+            flat=_raising(StorageError("secondary")),
+        )
+        engine = GES(micro_store, EngineConfig.ges_f_star(), registry=registry)
+        with pytest.raises(TransientError, match="original"):
+            engine.execute(LONG_QUERY)
+        assert calls == {"factorized": 1, "flat": 1}
+
+    def test_timeout_never_degrades(self, micro_store):
+        registry, calls = _ladder_registry(
+            factorized=_raising(QueryTimeout("deadline"))
+        )
+        engine = GES(micro_store, EngineConfig.ges_f_star(), registry=registry)
+        with pytest.raises(QueryTimeout):
+            engine.execute(LONG_QUERY)
+        assert calls == {"factorized": 1, "flat": 0}
+
+    def test_raw_exception_not_degraded(self, micro_store):
+        registry, calls = _ladder_registry(
+            factorized=_raising(ValueError("bug, not an engine error"))
+        )
+        engine = GES(micro_store, EngineConfig.ges_f_star(), registry=registry)
+        with pytest.raises(ValueError):
+            engine.execute(LONG_QUERY)
+        assert calls == {"factorized": 1, "flat": 0}
+
     def test_factorized_falls_back_to_flat(self, micro_store):
         engine = GES(micro_store, EngineConfig.ges_f_star())
         expected = rows_bag(engine.execute(LONG_QUERY).rows)
         plan = FaultPlan(
             rules=(FaultRule(site="executor.operator", every_nth=1, max_fires=1),)
         )
-        from repro.exec.base import ExecStats
-
         stats = ExecStats()
         with fault_scope(plan):
             result = engine.execute(LONG_QUERY, stats=stats)
         assert rows_bag(result.rows) == expected
         assert stats.degrade_count == 1
         assert plan.total_fired() == 1
-
-    def test_degrade_off_surfaces_typed_error(self, micro_store):
-        engine = GES(micro_store, EngineConfig.ges_f_star(degrade=False))
-        plan = FaultPlan(
-            rules=(FaultRule(site="executor.operator", every_nth=1, max_fires=1),)
-        )
-        with fault_scope(plan):
-            with pytest.raises(TransientError):
-                engine.execute(LONG_QUERY)
 
     def test_plan_cache_fault_degrades_to_uncached_compile(self, micro_store):
         engine = GES(micro_store, EngineConfig.ges_f_star())
@@ -558,6 +476,15 @@ class TestEngineDegradation:
 
 
 class TestTransactionRetry:
+    def test_describe_reports_resilience_block(self, micro_store):
+        engine = GES(
+            micro_store,
+            EngineConfig.ges_f_star(query_timeout_ms=100.0, retry_attempts=3),
+        )
+        block = engine.describe()["resilience"]
+        assert block["query_timeout_ms"] == 100.0
+        assert block["retry"]["attempts"] == 3
+
     def test_with_transaction_retries_injected_lock_fault(self, micro_store):
         engine = GES(
             micro_store,
