@@ -1,11 +1,8 @@
 """Ablation — validity-bitmap column store vs the sentinel-era layout.
 
-Three A/Bs over one synthetic 256k-row table, isolating what the storage
+Two A/Bs over one synthetic 256k-row table, isolating what the storage
 overhaul buys beyond correctness:
 
-* **filtered scan** — zone-map-pruned ``FilteredNodeScan`` (consult
-  per-block min/max, gather only candidate blocks) vs the dense
-  scan + gather + filter it replaced;
 * **NULL masking** — reusing the stored validity bitmap vs re-deriving
   NULLness by comparing every value against the int64-min sentinel, the
   per-operator cost the old convention paid on each aggregate/filter;
@@ -18,25 +15,15 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from conftest import emit
 from repro.obs.clock import now
-from repro.exec import execute_flat
-from repro.plan.expressions import Col, lit
-from repro.plan.logical import Filter, GetProperty, LogicalPlan, NodeScan
-from repro.plan.optimizer import optimize
 from repro.storage.catalog import GraphSchema, PropertyDef, VertexLabelDef
 from repro.storage.graph import GraphStore
 from repro.storage.properties import PropertyColumn
-from repro.storage.validity import ZONE_BLOCK_ROWS
 from repro.types import NULL_INT, DataType
 
-ROWS = 256 * ZONE_BLOCK_ROWS
+ROWS = 256 * 1024
 ROUNDS = 5
-#: The predicate only matches inside the last of 16 value bands, so a
-#: perfect zone map skips ~15/16 of all blocks.
-BANDS = 16
 
 
 def _build_store() -> GraphStore:
@@ -54,12 +41,8 @@ def _build_store() -> GraphStore:
         )
     )
     store = GraphStore(schema)
-    band = ROWS // BANDS
-    values = [
-        None if rng.random() < 0.05 else (i // band) * 1000 + rng.randint(0, 900)
-        for i in range(ROWS)
-    ]
-    tags = [rng.choice(["alpha", "beta", "gamma", "delta"]) for i in range(ROWS)]
+    values = [None if rng.random() < 0.05 else rng.randint(0, 16_000) for _ in range(ROWS)]
+    tags = [rng.choice(["alpha", "beta", "gamma", "delta"]) for _ in range(ROWS)]
     store.bulk_load_vertices(
         "N", {"id": list(range(ROWS)), "v": values, "tag": tags}
     )
@@ -68,36 +51,10 @@ def _build_store() -> GraphStore:
 
 def test_ablation_storage(benchmark):
     store = _build_store()
-    view = store.read_view()
-    threshold = (BANDS - 1) * 1000 + 800
-
-    raw = LogicalPlan(
-        [NodeScan("a", "N"), GetProperty("a", "v", "v"), Filter(Col("v") > lit(threshold))],
-        returns=["a", "v"],
-    )
-    pruned = optimize(raw, rules=None)
     column = store.table("N").column("v")
-    column.zone_map()  # build summaries outside the timed region
 
     def run():
         timings: dict[str, float] = {}
-
-        started = now()
-        for _ in range(ROUNDS):
-            dense = execute_flat(raw, view)
-        timings["dense scan+filter"] = (now() - started) / ROUNDS * 1e3
-
-        zmap = column.zone_map()
-        skipped_before, total_before = zmap.blocks_skipped, zmap.blocks_total
-        started = now()
-        for _ in range(ROUNDS):
-            zoned = execute_flat(pruned, view)
-        timings["zone-map scan"] = (now() - started) / ROUNDS * 1e3
-        assert sorted(zoned.rows) == sorted(dense.rows)
-        skip_rate = (zmap.blocks_skipped - skipped_before) / max(
-            zmap.blocks_total - total_before, 1
-        )
-
         values = column.view()
         validity = column.validity_mask()
         started = now()
@@ -111,24 +68,19 @@ def test_ablation_storage(benchmark):
         assert bitmap_mask is not None
         # The sentinel compare also *miscounts* any legitimate int64-min.
         assert int((~sentinel_mask).sum()) == int((~bitmap_mask).sum())
+        return timings
 
-        return timings, skip_rate
-
-    (timings, skip_rate) = benchmark.pedantic(run, rounds=1, iterations=1)
+    timings = benchmark.pedantic(run, rounds=1, iterations=1)
 
     encoded = store.table("N").column("tag")
     plain = PropertyColumn("tag", DataType.STRING, capacity=ROWS)
     plain.extend(encoded.view().tolist())
     dict_ratio = plain.nbytes / encoded.nbytes
 
-    speedup = timings["dense scan+filter"] / timings["zone-map scan"]
     lines = [
         "",
-        f"== Ablation: validity-bitmap storage ({ROWS} rows, {BANDS} value bands) ==",
+        f"== Ablation: validity-bitmap storage ({ROWS} rows) ==",
         f"{'mode':22}{'time ms':>10}",
-        f"{'dense scan+filter':22}{timings['dense scan+filter']:>10.2f}",
-        f"{'zone-map scan':22}{timings['zone-map scan']:>10.2f}",
-        f"zone-map speedup: {speedup:.1f}x (block skip rate {skip_rate:.0%})",
         f"{'sentinel re-derive':22}{timings['sentinel re-derive']:>10.3f}",
         f"{'bitmap reuse':22}{timings['bitmap reuse']:>10.3f}",
         f"dictionary encoding: {dict_ratio:.1f}x smaller "
@@ -139,10 +91,6 @@ def test_ablation_storage(benchmark):
         archive="ablation_storage.txt",
         data={
             "rows": ROWS,
-            "dense_ms": timings["dense scan+filter"],
-            "zone_map_ms": timings["zone-map scan"],
-            "zone_map_speedup": speedup,
-            "block_skip_rate": skip_rate,
             "sentinel_mask_ms": timings["sentinel re-derive"],
             "bitmap_mask_ms": timings["bitmap reuse"],
             "dict_compression": dict_ratio,

@@ -61,5 +61,5 @@ def test_fig03_operator_breakdown(benchmark):
     )
 
     # Paper shape: Expand dominates the flat executor's runtime.
-    assert dominant in ("Expand", "VertexExpand")
+    assert dominant == "Expand"
     assert overall[dominant] / total >= 0.3

@@ -24,7 +24,6 @@ from ..exec.base import ExecStats, QueryResult
 from ..obs.clock import now
 from ..exec.procedures import get_procedure
 from ..resilience.watchdog import Deadline, current_deadline, deadline_scope
-from ..plan.expressions import Cmp, Col
 from ..plan.logical import (
     Aggregate,
     AggregateTopK,
@@ -32,7 +31,6 @@ from ..plan.logical import (
     Distinct,
     Expand,
     Filter,
-    FilteredNodeScan,
     GetProperty,
     Limit,
     LogicalOp,
@@ -44,7 +42,6 @@ from ..plan.logical import (
     ProcedureCall,
     Project,
     TopK,
-    VertexExpand,
     resolve_labels,
 )
 from ..storage.graph import GraphReadView, GraphStore
@@ -128,23 +125,8 @@ def _dispatch(
         return [{op.var: row}] if row is not None else []
     if isinstance(op, NodeScan):
         return [{op.var: int(r)} for r in view.all_rows(op.label)]
-    if isinstance(op, FilteredNodeScan):
-        # No zone maps here: the competitor architecture scans densely and
-        # re-checks the predicate one tuple at a time.
-        predicate = Cmp(op.cmp, Col(op.out), op.value)
-        out = []
-        for r in view.all_rows(op.label):
-            row = {op.var: int(r), op.out: view.get_property(op.label, int(r), op.prop)}
-            if predicate.eval_row(row, params):
-                out.append(row)
-        return out
     if isinstance(op, NodeByRows):
         return [{op.var: int(r)} for r in params[op.rows_param]]
-    if isinstance(op, VertexExpand):
-        seeded = _dispatch([], NodeByIdSeek(op.seek_var, op.seek_label, op.seek_key),
-                           view, params, labels)
-        labels.setdefault(op.seek_var, op.seek_label)
-        return _expand(seeded, op.expand, view, params, labels)
     if isinstance(op, ProcedureCall):
         args = {name: expr.eval_row({}, params) for name, expr in op.args.items()}
         block = get_procedure(op.name)(view, args)

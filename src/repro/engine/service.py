@@ -544,7 +544,6 @@ class GraphEngineService:
             Expand,
             Filter,
             TopK,
-            VertexExpand,
             plan_summary,
         )
 
@@ -558,8 +557,6 @@ class GraphEngineService:
                     detail += f" *{op.min_hops}..{op.max_hops}"
                 if op.neighbor_filter is not None:
                     detail += " [fused filter]"
-            elif isinstance(op, VertexExpand):
-                detail = f" seek {op.seek_var} + expand [fused]"
             elif isinstance(op, (TopK, AggregateTopK)):
                 detail = f" n={op.n} [fused]"
             elif isinstance(op, Filter):

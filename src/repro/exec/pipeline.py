@@ -19,10 +19,10 @@ pipeline *starts* in:
   exactly as Figure 4 of the paper shows.  This is the architecture whose
   memory blow-up and data movement factorization eliminates.
 
-The fused operators produced by the optimizer (TopK, AggregateTopK,
-VertexExpand, Expand with pushed-down filters) are implemented here too;
-over an f-Tree they order, pick or weight node entries instead of
-materializing the full flat block first.
+The fused operators produced by the optimizer (TopK, AggregateTopK, Expand
+with pushed-down filters) are implemented here too; over an f-Tree they
+order, pick or weight node entries instead of materializing the full flat
+block first.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from ..plan.logical import (
     Distinct,
     Expand,
     Filter,
-    FilteredNodeScan,
     GetProperty,
     Limit,
     LogicalOp,
@@ -59,7 +58,6 @@ from ..plan.logical import (
     ProcedureCall,
     Project,
     TopK,
-    VertexExpand,
     resolve_labels,
 )
 from ..storage.graph import GraphReadView
@@ -76,7 +74,6 @@ from .base import (
 )
 from .expand_util import expand_batch, resolve_expand_keys
 from .procedures import get_procedure
-from .scan import filtered_scan
 
 
 class PipelineState:
@@ -250,18 +247,9 @@ def dispatch(state: PipelineState, op: LogicalOp, ctx: ExecutionContext) -> None
     if isinstance(op, NodeByRows):
         _start(state, op.var, np.asarray(ctx.params[op.rows_param], dtype=np.int64))
         return
-    if isinstance(op, FilteredNodeScan):
-        rows, values, validity, dtype = filtered_scan(ctx.view, op, ctx.params)
-        _start(state, op.var, rows, (op.out, dtype, values, validity))
-        return
     if isinstance(op, ProcedureCall):
         args = {name: expr.eval_row({}, ctx.params) for name, expr in op.args.items()}
         state.set_flat(get_procedure(op.name)(ctx.view, args))
-        return
-    if isinstance(op, VertexExpand):
-        _start(state, op.seek_var, _seek_rows(op.seek_label, op.seek_key, ctx))
-        ctx.var_labels.setdefault(op.seek_var, op.seek_label)
-        dispatch(state, op.expand, ctx)
         return
 
     # Once flat, stay block-based (paper: "continues until completion").
@@ -317,25 +305,15 @@ def _seek_rows(label: str, key: Expr, ctx: ExecutionContext) -> np.ndarray:
     return np.asarray([row], dtype=np.int64)
 
 
-def _start(
-    state: PipelineState,
-    var: str,
-    rows: np.ndarray,
-    extra: tuple[str, DataType, np.ndarray, np.ndarray | None] | None = None,
-) -> None:
-    """Begin a pipeline over vertex *rows* (plus one optional column), in
-    the representation the state was created for."""
+def _start(state: PipelineState, var: str, rows: np.ndarray) -> None:
+    """Begin a pipeline over vertex *rows*, in the representation the state
+    was created for."""
     if state.factorize:
-        block = FBlock([Column(var, DataType.INT64, rows)])
-        if extra is not None:
-            block.add_column(Column(*extra))
-        state.tree = FTree.single(var, block)
+        state.tree = FTree.single(var, FBlock([Column(var, DataType.INT64, rows)]))
         state.flat = None
     else:
         flat = FlatBlock()
         flat.add_array(var, DataType.INT64, rows)
-        if extra is not None:
-            flat.add_array(*extra)
         state.tree = None
         state.flat = flat
     state.projection = None

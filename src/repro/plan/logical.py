@@ -111,33 +111,6 @@ class Expand(LogicalOp):
 
 
 @dataclass
-class FilteredNodeScan(LogicalOp):
-    """Zone-map-aware fused NodeScan + GetProperty + Filter.
-
-    Produced by the ``zone_map_scan`` rewrite for predicates of the form
-    ``prop <cmp> literal``.  Executors with columnar storage consult the
-    property column's per-block zone map (min/max/null-count) and never
-    materialize blocks that cannot satisfy the comparison; ``out`` is still
-    emitted so downstream references to the property column keep working.
-    NULL rows never match: the residual predicate is re-evaluated through
-    the standard expression machinery against the column's validity bitmap.
-    """
-
-    var: str
-    label: str
-    prop: str
-    out: str
-    cmp: str  # < | <= | > | >= | ==
-    value: Expr
-
-    _CMPS = ("<", "<=", ">", ">=", "==")
-
-    def __post_init__(self) -> None:
-        if self.cmp not in self._CMPS:
-            raise PlanError(f"unsupported FilteredNodeScan comparison {self.cmp!r}")
-
-
-@dataclass
 class GetProperty(LogicalOp):
     """Append a vertex property of ``var`` as output column ``out``."""
 
@@ -221,16 +194,6 @@ class ProcedureCall(LogicalOp):
 
 
 @dataclass
-class VertexExpand(LogicalOp):
-    """Fused NodeByIdSeek + Expand (paper's VertexExpand rule)."""
-
-    seek_var: str
-    seek_label: str
-    seek_key: Expr
-    expand: Expand
-
-
-@dataclass
 class TopK(LogicalOp):
     """Fused OrderBy+Limit: bounded-heap top-k over streamed tuples."""
 
@@ -276,30 +239,23 @@ def resolve_labels(plan: LogicalPlan, schema: GraphSchema) -> dict[str, str]:
     ambiguous and not pinned with ``to_label``.
     """
     labels: dict[str, str] = {}
-
-    def bind_expand(op: Expand) -> None:
-        if op.from_var not in labels:
-            raise PlanError(f"Expand from unbound variable {op.from_var!r}")
-        if op.to_label is not None:
-            labels[op.to_var] = op.to_label
-            return
-        keys = schema.expand_keys(op.edge_label, op.direction, labels[op.from_var])
-        destinations = {k.dst_label for k in keys}
-        if len(destinations) != 1:
-            raise PlanError(
-                f"ambiguous destination for Expand[{op.edge_label}] "
-                f"from {labels[op.from_var]!r}: {sorted(destinations)}"
-            )
-        labels[op.to_var] = next(iter(destinations))
-
     for op in plan.ops:
-        if isinstance(op, (NodeByIdSeek, NodeScan, NodeByRows, FilteredNodeScan)):
+        if isinstance(op, (NodeByIdSeek, NodeScan, NodeByRows)):
             labels[op.var] = op.label
         elif isinstance(op, Expand):
-            bind_expand(op)
-        elif isinstance(op, VertexExpand):
-            labels[op.seek_var] = op.seek_label
-            bind_expand(op.expand)
+            if op.from_var not in labels:
+                raise PlanError(f"Expand from unbound variable {op.from_var!r}")
+            if op.to_label is not None:
+                labels[op.to_var] = op.to_label
+                continue
+            keys = schema.expand_keys(op.edge_label, op.direction, labels[op.from_var])
+            destinations = {k.dst_label for k in keys}
+            if len(destinations) != 1:
+                raise PlanError(
+                    f"ambiguous destination for Expand[{op.edge_label}] "
+                    f"from {labels[op.from_var]!r}: {sorted(destinations)}"
+                )
+            labels[op.to_var] = next(iter(destinations))
     return labels
 
 

@@ -1,18 +1,21 @@
 """Rule-based plan rewrites: the operator-fusion optimizations of GES_f*
 (paper §4.3, "Operator Fusion").
 
-Four rules, applied in a fixed order:
+Three rules, applied in a fixed order:
 
 * **FilterPushDown** — folds a Filter (and the GetProperty ops feeding it)
   into the producing Expand, so rejected neighbors never enter the f-Block.
   This is the paper's example of moving the ``msg.len > 125`` filter behind
   the message expansion.
-* **VertexExpand** — fuses NodeByIdSeek + Expand into one operator that
-  reaches the neighbor set directly.
 * **AggregateProjectTop** — fuses Aggregate [+ Project] + OrderBy + Limit
   into one streaming operator (hash aggregation + bounded heap), the fusion
   the paper credits for IC5/IC6.
 * **TopK** — fuses OrderBy + Limit into a bounded-heap top-k.
+
+The paper's seek-then-expand fusion has no rule of its own: NodeByIdSeek
+starts a one-vertex f-Tree and the Expand after it already reaches the
+neighbor set directly, so fusing the two would save one operator dispatch
+and nothing else.
 
 Every rule is semantics-preserving; ``tests/test_optimizer.py`` and the
 variant-equivalence suite check rewritten plans against unrewritten ones.
@@ -23,23 +26,19 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable
 
-from .expressions import BoolOp, Cmp, Col
+from .expressions import BoolOp
 from .logical import (
     Aggregate,
     AggregateTopK,
     Expand,
     Filter,
-    FilteredNodeScan,
     GetProperty,
     Limit,
     LogicalOp,
     LogicalPlan,
-    NodeByIdSeek,
-    NodeScan,
     OrderBy,
     Project,
     TopK,
-    VertexExpand,
 )
 
 RewriteRule = Callable[[LogicalPlan], LogicalPlan]
@@ -120,76 +119,6 @@ def _try_fuse_filter(ops: list[LogicalOp], filter_idx: int) -> list[LogicalOp] |
     return out
 
 
-#: Operand flip for ``literal <op> col`` → ``col <flipped> literal``.
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "=="}
-
-
-def zone_map_scan(plan: LogicalPlan) -> LogicalPlan:
-    """Fuse NodeScan + GetProperty + Filter(prop <cmp> literal) into a
-    :class:`FilteredNodeScan`, letting the executor consult the property
-    column's zone map and skip blocks that cannot satisfy the predicate.
-
-    Only single-comparison predicates against a column-free value (literal,
-    parameter, or expression over them) qualify; anything else is left for
-    the generic Filter path.
-    """
-    ops = list(plan.ops)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ops) - 2):
-            scan, getter, filt = ops[i], ops[i + 1], ops[i + 2]
-            if not (
-                isinstance(scan, NodeScan)
-                and isinstance(getter, GetProperty)
-                and isinstance(filt, Filter)
-                and getter.var == scan.var
-            ):
-                continue
-            fused = _match_scan_predicate(scan, getter, filt.expr)
-            if fused is None:
-                continue
-            ops = ops[:i] + [fused] + ops[i + 3 :]
-            changed = True
-            break
-    return plan.with_ops(ops)
-
-
-def _match_scan_predicate(
-    scan: NodeScan, getter: GetProperty, expr
-) -> FilteredNodeScan | None:
-    if not isinstance(expr, Cmp) or expr.op not in _FLIP:
-        return None
-    left, right = expr.left, expr.right
-    if isinstance(left, Col) and left.name == getter.out and not right.columns():
-        cmp, value = expr.op, right
-    elif isinstance(right, Col) and right.name == getter.out and not left.columns():
-        cmp, value = _FLIP[expr.op], left
-    else:
-        return None
-    return FilteredNodeScan(scan.var, scan.label, getter.prop, getter.out, cmp, value)
-
-
-def vertex_expand(plan: LogicalPlan) -> LogicalPlan:
-    """Fuse NodeByIdSeek immediately followed by an Expand from its variable."""
-    ops: list[LogicalOp] = []
-    i = 0
-    while i < len(plan.ops):
-        op = plan.ops[i]
-        nxt = plan.ops[i + 1] if i + 1 < len(plan.ops) else None
-        if (
-            isinstance(op, NodeByIdSeek)
-            and isinstance(nxt, Expand)
-            and nxt.from_var == op.var
-        ):
-            ops.append(VertexExpand(op.var, op.label, op.key, nxt))
-            i += 2
-            continue
-        ops.append(op)
-        i += 1
-    return plan.with_ops(ops)
-
-
 def aggregate_project_top(plan: LogicalPlan) -> LogicalPlan:
     """Fuse Aggregate [+ Project] + OrderBy + Limit into AggregateTopK."""
     ops = list(plan.ops)
@@ -246,13 +175,10 @@ def top_k(plan: LogicalPlan) -> LogicalPlan:
     return plan.with_ops(ops)
 
 
-#: Rule order matters: scan fusion and pushdown first (they need the raw
-#: Scan/Expand/GetProperty shape), then seek fusion, then the
-#: aggregation/top-k fusions.
+#: Rule order matters: pushdown first (it needs the raw
+#: Expand/GetProperty shape), then the aggregation/top-k fusions.
 DEFAULT_RULES: list[RewriteRule] = [
-    zone_map_scan,
     filter_push_down,
-    vertex_expand,
     aggregate_project_top,
     top_k,
 ]

@@ -8,8 +8,7 @@ assignment and the primary-key index used for external lookups.
 
 NULL handling follows the columnar-graph-storage design of Gupta, Mhedhbi
 & Salihoglu: each column carries a **validity bitmap** (NULL is a bit,
-never a sentinel value in the data array), numeric columns expose
-**per-block zone maps** for filter pushdown, and low-cardinality STRING
+never a sentinel value in the data array), and low-cardinality STRING
 columns are **dictionary-encoded** transparently.
 """
 
@@ -22,7 +21,7 @@ import numpy as np
 from ..errors import SchemaError, StorageError
 from ..types import DataType
 from .catalog import VertexLabelDef
-from .validity import ValidityBitmap, ZoneMapIndex, pack_values
+from .validity import ValidityBitmap, pack_values
 
 _INITIAL_CAPACITY = 16
 
@@ -53,7 +52,6 @@ class PropertyColumn:
         self._length = 0
         self._data = np.empty(max(capacity, 1), dtype=dtype.numpy_dtype)
         self._validity = ValidityBitmap()
-        self._zone_map: ZoneMapIndex | None = None
         # Dictionary encoding state (STRING columns only).
         self._dict_codes: np.ndarray | None = None
         self._dict_values: list[Any] = []
@@ -207,8 +205,6 @@ class PropertyColumn:
         else:
             self._data[row] = value
         self._validity.set(row, valid)
-        if self._zone_map is not None:
-            self._zone_map.mark_dirty(row)
 
     # -- vectorized access -------------------------------------------------
 
@@ -245,21 +241,6 @@ class PropertyColumn:
     def validity_mask(self) -> np.ndarray | None:
         """Dense validity bools over the live prefix; ``None`` == all valid."""
         return self._validity.mask()
-
-    # -- zone maps ---------------------------------------------------------
-
-    @property
-    def supports_zone_map(self) -> bool:
-        return self.dtype.is_integer_backed or self.dtype is DataType.FLOAT64
-
-    def zone_map(self) -> ZoneMapIndex | None:
-        """An up-to-date zone map, or ``None`` for non-numeric columns."""
-        if not self.supports_zone_map:
-            return None
-        if self._zone_map is None:
-            self._zone_map = ZoneMapIndex()
-        self._zone_map.refresh(self._data[: self._length], self._validity.mask())
-        return self._zone_map
 
     @classmethod
     def from_array(

@@ -1,4 +1,4 @@
-"""Validity bitmaps, zone maps, and dictionary helpers for the column store.
+"""Validity bitmaps and value packing for the column store.
 
 This module is the foundation of the sentinel-free NULL representation
 (ROADMAP item 3, after Gupta/Mhedhbi/Salihoglu's columnar graph storage
@@ -8,9 +8,6 @@ representation this module provides
 
 * :class:`ValidityBitmap` — a growable per-column bitmap with an all-valid
   fast path (no allocation until the first NULL appears);
-* :class:`ZoneMapIndex` — per-block min/max/null-count summaries consulted
-  by filter pushdown to skip whole blocks before materialization, with
-  dirty-block invalidation so updates never yield stale skips;
 * :func:`pack_values` — canonical ingest: converts a possibly-None-bearing
   (or NaN-bearing, for floats) value sequence into ``(data, validity)``
   with inert fills under invalid slots.
@@ -27,12 +24,6 @@ from typing import Any, Iterable
 import numpy as np
 
 from ..types import DataType
-
-#: Rows summarized by one zone-map entry.  Small enough that a skipped
-#: block saves real work on LDBC-scale tables, large enough that the
-#: summary arrays stay negligible.
-ZONE_BLOCK_ROWS = 1024
-
 
 class ValidityBitmap:
     """Growable validity bitmap for one column.
@@ -195,123 +186,3 @@ def unpack_values(
     if validity is not None:
         out = [v if ok else None for v, ok in zip(out, validity)]
     return out
-
-
-class ZoneMapIndex:
-    """Per-block min/max/null-count summaries over one numeric column.
-
-    ``candidate_blocks`` answers "which blocks *may* contain a row
-    satisfying ``col <op> literal``" — the filter executor materializes
-    only those.  Updates never cause stale answers: ``mark_dirty`` flags
-    the touched block and :meth:`refresh` rebuilds flagged blocks (plus any
-    appended tail) before the next consultation.
-    """
-
-    __slots__ = (
-        "block_rows",
-        "_mins",
-        "_maxs",
-        "_null_counts",
-        "_built_rows",
-        "_dirty",
-        "consultations",
-        "blocks_skipped",
-        "blocks_total",
-    )
-
-    def __init__(self, block_rows: int = ZONE_BLOCK_ROWS) -> None:
-        self.block_rows = int(block_rows)
-        self._mins = np.empty(0, dtype=np.float64)
-        self._maxs = np.empty(0, dtype=np.float64)
-        self._null_counts = np.empty(0, dtype=np.int64)
-        self._built_rows = 0
-        self._dirty: set[int] = set()
-        self.consultations = 0
-        self.blocks_skipped = 0
-        self.blocks_total = 0
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self._mins)
-
-    def mark_dirty(self, row: int) -> None:
-        block = row // self.block_rows
-        if block < self.num_blocks:
-            self._dirty.add(block)
-
-    def invalidate(self) -> None:
-        """Forget everything (bulk replacement of the column)."""
-        self._built_rows = 0
-        self._dirty.clear()
-        self._mins = np.empty(0, dtype=np.float64)
-        self._maxs = np.empty(0, dtype=np.float64)
-        self._null_counts = np.empty(0, dtype=np.int64)
-
-    def _rebuild_block(
-        self, block: int, data: np.ndarray, validity: np.ndarray | None
-    ) -> None:
-        lo = block * self.block_rows
-        hi = min(lo + self.block_rows, len(data))
-        chunk = data[lo:hi].astype(np.float64, copy=False)
-        if validity is None:
-            valid = chunk[~np.isnan(chunk)]
-            nulls = len(chunk) - len(valid)
-        else:
-            bits = validity[lo:hi]
-            valid = chunk[bits]
-            valid = valid[~np.isnan(valid)]
-            nulls = len(chunk) - len(valid)
-        if len(valid):
-            self._mins[block] = valid.min()
-            self._maxs[block] = valid.max()
-        else:
-            self._mins[block] = np.inf
-            self._maxs[block] = -np.inf
-        self._null_counts[block] = nulls
-
-    def refresh(self, data: np.ndarray, validity: np.ndarray | None) -> None:
-        """Bring the summaries up to date with the column's live prefix."""
-        rows = len(data)
-        blocks = -(-rows // self.block_rows) if rows else 0
-        if blocks != self.num_blocks:
-            for arrays in ("_mins", "_maxs", "_null_counts"):
-                old = getattr(self, arrays)
-                dtype = old.dtype
-                grown = np.empty(blocks, dtype=dtype)
-                grown[: min(len(old), blocks)] = old[: min(len(old), blocks)]
-                setattr(self, arrays, grown)
-        first_new = self._built_rows // self.block_rows
-        rebuild = set(range(first_new, blocks))
-        rebuild.update(b for b in self._dirty if b < blocks)
-        for block in rebuild:
-            self._rebuild_block(block, data, validity)
-        self._built_rows = rows
-        self._dirty.clear()
-
-    def candidate_blocks(self, op: str, value: float) -> np.ndarray:
-        """Bool array over blocks: True where the block may satisfy the op.
-
-        Unknown operators conservatively return all-True.  NULL rows never
-        satisfy a comparison, so an all-NULL block is always skippable.
-        """
-        self.consultations += 1
-        self.blocks_total += self.num_blocks
-        mins, maxs = self._mins, self._maxs
-        nonempty = mins <= maxs  # blocks with at least one valid value
-        if op == "<":
-            keep = nonempty & (mins < value)
-        elif op == "<=":
-            keep = nonempty & (mins <= value)
-        elif op == ">":
-            keep = nonempty & (maxs > value)
-        elif op == ">=":
-            keep = nonempty & (maxs >= value)
-        elif op == "==":
-            keep = nonempty & (mins <= value) & (maxs >= value)
-        else:
-            keep = np.ones(self.num_blocks, dtype=bool)
-        self.blocks_skipped += int(self.num_blocks - np.count_nonzero(keep))
-        return keep
-
-    def block_null_count(self, block: int) -> int:
-        return int(self._null_counts[block])

@@ -46,7 +46,6 @@ from ..plan.logical import (
     ProcedureCall,
     Project,
     TopK,
-    VertexExpand,
 )
 from ..storage.catalog import Direction
 
@@ -157,48 +156,6 @@ def deserialize_expr(data: dict[str, Any]) -> Expr:
     raise PlanError(f"unknown expression kind {kind!r}")
 
 
-def _expand_payload(op: Expand) -> dict[str, Any]:
-    return {
-        "from_var": op.from_var,
-        "to_var": op.to_var,
-        "edge_label": op.edge_label,
-        "direction": op.direction.value,
-        "min_hops": op.min_hops,
-        "max_hops": op.max_hops,
-        "to_label": op.to_label,
-        "exclude_start": op.exclude_start,
-        "optional": op.optional,
-        "edge_props": dict(op.edge_props),
-        "neighbor_filter": (
-            serialize_expr(op.neighbor_filter)
-            if op.neighbor_filter is not None
-            else None
-        ),
-        "neighbor_props": dict(op.neighbor_props),
-    }
-
-
-def _expand_from_payload(data: dict[str, Any]) -> Expand:
-    return Expand(
-        data["from_var"],
-        data["to_var"],
-        data["edge_label"],
-        direction=Direction(data["direction"]),
-        min_hops=data["min_hops"],
-        max_hops=data["max_hops"],
-        to_label=data["to_label"],
-        exclude_start=data["exclude_start"],
-        optional=data["optional"],
-        edge_props=dict(data["edge_props"]),
-        neighbor_filter=(
-            deserialize_expr(data["neighbor_filter"])
-            if data["neighbor_filter"] is not None
-            else None
-        ),
-        neighbor_props=dict(data["neighbor_props"]),
-    )
-
-
 def serialize_op(op: LogicalOp) -> dict[str, Any]:
     """One pipeline operator as a plain dict."""
     if isinstance(op, NodeByIdSeek):
@@ -217,16 +174,26 @@ def serialize_op(op: LogicalOp) -> dict[str, Any]:
             "label": op.label,
             "rows_param": op.rows_param,
         }
-    if isinstance(op, VertexExpand):
-        return {
-            "op": "VertexExpand",
-            "seek_var": op.seek_var,
-            "seek_label": op.seek_label,
-            "seek_key": serialize_expr(op.seek_key),
-            "expand": _expand_payload(op.expand),
-        }
     if isinstance(op, Expand):
-        return {"op": "Expand", **_expand_payload(op)}
+        return {
+            "op": "Expand",
+            "from_var": op.from_var,
+            "to_var": op.to_var,
+            "edge_label": op.edge_label,
+            "direction": op.direction.value,
+            "min_hops": op.min_hops,
+            "max_hops": op.max_hops,
+            "to_label": op.to_label,
+            "exclude_start": op.exclude_start,
+            "optional": op.optional,
+            "edge_props": dict(op.edge_props),
+            "neighbor_filter": (
+                serialize_expr(op.neighbor_filter)
+                if op.neighbor_filter is not None
+                else None
+            ),
+            "neighbor_props": dict(op.neighbor_props),
+        }
     if isinstance(op, GetProperty):
         return {"op": "GetProperty", "var": op.var, "prop": op.prop, "out": op.out}
     if isinstance(op, Filter):
@@ -285,15 +252,25 @@ def deserialize_op(data: dict[str, Any]) -> LogicalOp:
         return NodeScan(data["var"], data["label"])
     if name == "NodeByRows":
         return NodeByRows(data["var"], data["label"], data["rows_param"])
-    if name == "VertexExpand":
-        return VertexExpand(
-            data["seek_var"],
-            data["seek_label"],
-            deserialize_expr(data["seek_key"]),
-            _expand_from_payload(data["expand"]),
-        )
     if name == "Expand":
-        return _expand_from_payload(data)
+        return Expand(
+            data["from_var"],
+            data["to_var"],
+            data["edge_label"],
+            direction=Direction(data["direction"]),
+            min_hops=data["min_hops"],
+            max_hops=data["max_hops"],
+            to_label=data["to_label"],
+            exclude_start=data["exclude_start"],
+            optional=data["optional"],
+            edge_props=dict(data["edge_props"]),
+            neighbor_filter=(
+                deserialize_expr(data["neighbor_filter"])
+                if data["neighbor_filter"] is not None
+                else None
+            ),
+            neighbor_props=dict(data["neighbor_props"]),
+        )
     if name == "GetProperty":
         return GetProperty(data["var"], data["prop"], data["out"])
     if name == "Filter":

@@ -194,17 +194,13 @@ class TestBlockBasedContinuation:
         scores = [r[0] for r in result.rows]
         assert scores == sorted(scores, reverse=True)
 
-    def test_vertex_expand_feeding_multi_hop(self, micro_store):
-        from repro.plan import VertexExpand
-
+    def test_seek_feeding_multi_hop(self, micro_store):
         result = both(
             micro_store,
             [
-                VertexExpand(
-                    "p", "Person", lit(0),
-                    Expand("p", "f", "KNOWS", Direction.OUT, max_hops=2,
-                           exclude_start=True),
-                ),
+                NodeByIdSeek("p", "Person", lit(0)),
+                Expand("p", "f", "KNOWS", Direction.OUT, max_hops=2,
+                       exclude_start=True),
                 GetProperty("f", "id", "fid"),
                 Project([("fid", Col("fid"))]),
                 OrderBy([("fid", True)]),

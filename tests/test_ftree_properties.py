@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import Column, FBlock, FTree, FTreeNode, IndexVector, materialize
 from repro.exec.aggregate import tuples_through
@@ -73,8 +73,9 @@ def random_trees(draw) -> FTree:
 # -- brute-force oracle (paper equations 1 and 2) -----------------------------------
 
 
-def oracle_tuples(tree: FTree) -> list[tuple]:
-    schema = tree.schema
+def oracle_mappings(tree: FTree) -> list[dict]:
+    """R as attr->value dicts, each also mapping ``id(node)`` to the entry
+    of that node the tuple passes through."""
 
     def induced(node: FTreeNode, i: int) -> list[dict]:
         """R_u^i as a list of attr->value dicts."""
@@ -83,6 +84,7 @@ def oracle_tuples(tree: FTree) -> list[tuple]:
         own = {
             attr: node.block.column(attr).get(i) for attr in node.block.schema
         }
+        own[id(node)] = i
         partials = [own]
         for child, iv in node.children:
             start, end = iv.range_of(i)
@@ -96,11 +98,35 @@ def oracle_tuples(tree: FTree) -> list[tuple]:
             partials = combined
         return partials
 
-    out: list[tuple] = []
+    out: list[dict] = []
     for i in range(len(tree.root.block)):
-        for mapping in induced(tree.root, i):
-            out.append(tuple(mapping[a] for a in schema))
+        out.extend(induced(tree.root, i))
     return out
+
+
+def oracle_tuples(tree: FTree) -> list[tuple]:
+    schema = tree.schema
+    return [tuple(mapping[a] for a in schema) for mapping in oracle_mappings(tree)]
+
+
+def branching_tree() -> FTree:
+    """A root with two children, so the weight of child ``a`` depends on how
+    many selected entries of its sibling ``b`` each root entry covers::
+
+        root[0] -> a[0:1], b[0:3]  (b[1] deselected: 2 selected entries)
+        root[1] -> a[1:3], b[3:4]
+    """
+
+    def block(name: str, n: int) -> FBlock:
+        return FBlock([Column(name, DataType.INT64, list(range(n)))])
+
+    tree = FTree.single("root", block("root", 2))
+    tree.add_child(tree.root, "a", block("a", 3),
+                   IndexVector(np.asarray([0, 1]), np.asarray([1, 3])))
+    b = tree.add_child(tree.root, "b", block("b", 4),
+                       IndexVector(np.asarray([0, 3]), np.asarray([3, 4])))
+    b.and_selection(np.asarray([True, False, True, True]))
+    return tree
 
 
 # -- properties --------------------------------------------------------------------
@@ -126,12 +152,18 @@ def test_num_tuples_matches_oracle(tree: FTree):
 
 @settings(max_examples=40, deadline=None)
 @given(random_trees())
+@example(branching_tree())
 def test_tuples_through_sums_to_total(tree: FTree):
-    """Σ_j tuples_through(node)[j] == |R| for every node (weight invariant)."""
-    total = tree.num_tuples()
+    """tuples_through(node)[j] is the number of tuples of R passing through
+    entry j, so Σ_j tuples_through(node)[j] == |R| for every node."""
+    mappings = oracle_mappings(tree)
     for node in tree.nodes():
         through = tuples_through(tree, node)
-        assert int(through.sum()) == total
+        counts = np.zeros(len(node.block), dtype=np.int64)
+        for mapping in mappings:
+            counts[mapping[id(node)]] += 1
+        assert through.tolist() == counts.tolist()
+        assert int(through.sum()) == tree.num_tuples()
 
 
 @settings(max_examples=40, deadline=None)

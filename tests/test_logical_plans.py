@@ -12,7 +12,6 @@ from repro.plan import (
     NodeByIdSeek,
     NodeScan,
     OrderBy,
-    VertexExpand,
     lit,
     plan_summary,
     resolve_labels,
@@ -78,17 +77,6 @@ class TestResolveLabels:
             ]
         )
         assert resolve_labels(plan, micro_schema)["t"] == "Tag"
-
-    def test_vertex_expand_resolved(self, micro_schema):
-        plan = LogicalPlan(
-            [
-                VertexExpand(
-                    "p", "Person", lit(0), Expand("p", "f", "KNOWS", Direction.OUT)
-                )
-            ]
-        )
-        labels = resolve_labels(plan, micro_schema)
-        assert labels == {"p": "Person", "f": "Person"}
 
 
 class TestSummary:

@@ -17,7 +17,6 @@ from repro.plan import (
     OrderBy,
     Project,
     TopK,
-    VertexExpand,
     lit,
     optimize,
     param,
@@ -26,7 +25,6 @@ from repro.plan.optimizer import (
     aggregate_project_top,
     filter_push_down,
     top_k,
-    vertex_expand,
 )
 from repro.storage.catalog import Direction
 
@@ -95,32 +93,6 @@ class TestFilterPushDown:
         )
         out = filter_push_down(plan)
         assert not any(op.op_name == "Filter" for op in out.ops)
-
-
-class TestVertexExpand:
-    def test_seek_plus_expand_fused(self):
-        plan = LogicalPlan(seek_expand_ops())
-        out = vertex_expand(plan)
-        assert len(out.ops) == 1
-        assert isinstance(out.ops[0], VertexExpand)
-
-    def test_non_adjacent_not_fused(self):
-        ops = [
-            NodeByIdSeek("p", "Person", param("pid")),
-            GetProperty("p", "age", "age"),
-            Expand("p", "m", "HAS_CREATOR", Direction.IN),
-        ]
-        out = vertex_expand(LogicalPlan(ops))
-        assert len(out.ops) == 3
-
-    def test_expand_from_other_var_not_fused(self):
-        ops = [
-            NodeByIdSeek("p", "Person", param("pid")),
-            Expand("x", "m", "HAS_CREATOR", Direction.IN),
-        ]
-        # 'x' is not the seek variable, so no fusion even though adjacent.
-        out = vertex_expand(LogicalPlan(ops))
-        assert len(out.ops) == 2
 
 
 class TestTopK:
@@ -204,4 +176,4 @@ class TestEndToEndSemantics:
 
 def plan_has_fusions(plan: LogicalPlan) -> bool:
     names = {op.op_name for op in plan.ops}
-    return "TopK" in names or "AggregateTopK" in names or "VertexExpand" in names
+    return "TopK" in names or "AggregateTopK" in names

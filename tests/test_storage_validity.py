@@ -1,6 +1,6 @@
-"""Validity bitmaps, zone maps, dictionary encoding, selection vectors, and
-the zone-map-assisted FilteredNodeScan — the sentinel-bug-class regression
-suite.
+"""Validity bitmaps, dictionary encoding, selection vectors, and the
+NodeScan → GetProperty → Filter scan over them — the sentinel-bug-class
+regression suite.
 
 The storage contract under test: NULL is a cleared validity bit, never a
 magic value.  Int64-min (the old ``NULL_INT`` sentinel, retained only as
@@ -18,20 +18,19 @@ import pytest
 from repro.core.flatblock import FlatBlock
 from repro.exec import execute_factorized, execute_flat
 from repro.baselines.volcano import VolcanoEngine
-from repro.plan.expressions import Cmp, Col, Lit, Param
+from repro.plan.expressions import Cmp, Col, Lit
 from repro.plan.logical import (
     Filter,
-    FilteredNodeScan,
     GetProperty,
     LogicalPlan,
     NodeScan,
     plan_summary,
 )
-from repro.plan.optimizer import optimize, zone_map_scan
+from repro.plan.optimizer import optimize
 from repro.storage.catalog import GraphSchema, PropertyDef, VertexLabelDef
 from repro.storage.graph import GraphStore
 from repro.storage.properties import PropertyColumn
-from repro.storage.validity import ZONE_BLOCK_ROWS, pack_values
+from repro.storage.validity import pack_values
 from repro.types import NULL_INT, DataType
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
@@ -73,7 +72,7 @@ class TestBitmapRoundTrip:
         assert column.gather_validity(np.empty(0, dtype=np.int64)) is None
 
     def test_all_null_column(self):
-        values = [None] * (ZONE_BLOCK_ROWS + 3)
+        values = [None] * 1027
         column = PropertyColumn.from_array("c", DataType.INT64, values)
         assert column.null_count == len(values)
         assert column.gather_validity(np.arange(4)).tolist() == [False] * 4
@@ -104,55 +103,6 @@ class TestBitmapRoundTrip:
     def test_pack_values_all_valid_collapses_to_none(self):
         _, validity = pack_values([1, 2, 3], DataType.INT64)
         assert validity is None
-
-
-# -- zone maps -----------------------------------------------------------------
-
-
-def _int_column(values):
-    return PropertyColumn.from_array("v", DataType.INT64, values)
-
-
-class TestZoneMaps:
-    def test_candidate_blocks_skip_out_of_range(self):
-        # Block b holds values in [b*10, b*10+9].
-        n = ZONE_BLOCK_ROWS * 4
-        values = [(i // ZONE_BLOCK_ROWS) * 10 + i % 10 for i in range(n)]
-        zmap = _int_column(values).zone_map()
-        assert zmap.candidate_blocks(">", 25.0).tolist() == [False, False, True, True]
-        assert zmap.candidate_blocks("==", 12.0).tolist() == [False, True, False, False]
-        assert zmap.candidate_blocks("<", 5.0).tolist() == [True, False, False, False]
-
-    def test_all_null_block_is_skippable(self):
-        values = [None] * ZONE_BLOCK_ROWS + [7] * ZONE_BLOCK_ROWS
-        zmap = _int_column(values).zone_map()
-        assert zmap.candidate_blocks("==", 7.0).tolist() == [False, True]
-        assert zmap.block_null_count(0) == ZONE_BLOCK_ROWS
-
-    def test_update_never_goes_stale(self):
-        column = _int_column([5] * ZONE_BLOCK_ROWS)
-        assert column.zone_map().candidate_blocks(">", 100.0).tolist() == [False]
-        column.set(3, 999)  # marks the block dirty; next consult rebuilds
-        assert column.zone_map().candidate_blocks(">", 100.0).tolist() == [True]
-
-    def test_update_to_null_shrinks_range(self):
-        column = _int_column([5] * (ZONE_BLOCK_ROWS - 1) + [999])
-        assert column.zone_map().candidate_blocks(">", 100.0).tolist() == [True]
-        column.set(ZONE_BLOCK_ROWS - 1, None)
-        assert column.zone_map().candidate_blocks(">", 100.0).tolist() == [False]
-
-    def test_append_extends_summaries(self):
-        column = _int_column([5] * ZONE_BLOCK_ROWS)
-        for _ in range(3):
-            column.append(500)
-        zmap = column.zone_map()
-        assert zmap.num_blocks == 2
-        assert zmap.candidate_blocks(">", 100.0).tolist() == [False, True]
-
-    def test_non_numeric_columns_have_no_zone_map(self):
-        column = PropertyColumn.from_array("s", DataType.STRING, ["a", "b"])
-        assert not column.supports_zone_map
-        assert column.zone_map() is None
 
 
 # -- dictionary encoding -------------------------------------------------------
@@ -233,10 +183,21 @@ class TestSelectionVectors:
         assert "c" not in taken.schema
 
 
-# -- FilteredNodeScan + zone-map pruning end to end ---------------------------
+# -- NodeScan -> GetProperty -> Filter end to end -----------------------------
 
 
-def _scan_store(n=4 * ZONE_BLOCK_ROWS):
+_CMPS = {
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "==": lambda a, b: a == b,
+}
+
+
+def _scan_store(n=4096):
+    """Vertices N(id, v): ~10% NULL ``v`` (cleared bits), every 97th row the
+    int64 minimum as real data, the rest banded by thousands."""
     schema = GraphSchema()
     schema.add_vertex_label(
         VertexLabelDef(
@@ -248,7 +209,9 @@ def _scan_store(n=4 * ZONE_BLOCK_ROWS):
     store = GraphStore(schema)
     rng = random.Random(7)
     values = [
-        None if rng.random() < 0.1 else (i // ZONE_BLOCK_ROWS) * 1000 + rng.randint(0, 9)
+        None if rng.random() < 0.1
+        else NULL_INT if i % 97 == 0
+        else (i // 1024) * 1000 + rng.randint(0, 9)
         for i in range(n)
     ]
     store.bulk_load_vertices("N", {"id": list(range(n)), "v": values})
@@ -262,67 +225,45 @@ def _filter_plan(cmp_expr):
     )
 
 
-class TestZoneMapScanRewrite:
-    def test_fuses_scan_getter_filter(self):
-        opt = zone_map_scan(_filter_plan(Col("v") > Lit(10)))
-        assert plan_summary(opt) == "FilteredNodeScan"
-        fused = opt.ops[0]
-        assert (fused.var, fused.label, fused.prop, fused.out) == ("a", "N", "v", "v")
-        assert fused.cmp == ">"
-
-    def test_flips_reversed_operands(self):
-        opt = zone_map_scan(_filter_plan(Cmp("<=", Lit(10), Col("v"))))
-        assert isinstance(opt.ops[0], FilteredNodeScan)
-        assert opt.ops[0].cmp == ">="
-
-    def test_param_value_qualifies(self):
-        opt = zone_map_scan(_filter_plan(Cmp("==", Col("v"), Param("t"))))
-        assert isinstance(opt.ops[0], FilteredNodeScan)
-
-    def test_col_vs_col_not_fused(self):
-        opt = zone_map_scan(_filter_plan(Cmp("<", Col("v"), Col("v"))))
-        assert plan_summary(opt) == "NodeScan -> GetProperty -> Filter"
-
-    def test_not_equal_not_fused(self):
-        opt = zone_map_scan(_filter_plan(Cmp("!=", Col("v"), Lit(10))))
-        assert plan_summary(opt) == "NodeScan -> GetProperty -> Filter"
-
-    def test_unsupported_cmp_rejected_at_construction(self):
-        from repro.errors import PlanError
-
-        with pytest.raises(PlanError):
-            FilteredNodeScan("a", "N", "v", "v", "!=", Lit(1))
+def _expected(store, cmp, literal):
+    column = store.table("N").column("v")
+    return sorted(
+        (row, column.get(row))
+        for row in range(len(column))
+        if column.is_valid(row) and _CMPS[cmp](column.get(row), literal)
+    )
 
 
 class TestFilteredScanExecution:
-    @pytest.mark.parametrize("cmp", ["<", "<=", ">", ">=", "=="])
-    def test_variants_agree_and_blocks_skip(self, cmp):
+    @pytest.mark.parametrize("cmp", sorted(_CMPS))
+    def test_variants_agree(self, cmp):
         store = _scan_store()
         plan = _filter_plan(Cmp(cmp, Col("v"), Lit(2003)))
         opt = optimize(plan)
-        assert isinstance(opt.ops[0], FilteredNodeScan)
+        assert plan_summary(opt) == "NodeScan -> GetProperty -> Filter"
         engine = VolcanoEngine(store)
         view = engine.read_view()
-        zmap = store.table("N").column("v").zone_map()
-        skipped_before = zmap.blocks_skipped
         flat = execute_flat(opt, view)
         fact = execute_factorized(opt, view)
         rows = engine.execute(plan).rows
-        assert sorted(flat.rows) == sorted(fact.rows) == sorted(rows)
-        assert zmap.blocks_skipped > skipped_before
+        expected = _expected(store, cmp, 2003)
+        assert sorted(flat.rows) == sorted(fact.rows) == sorted(rows) == expected
+        # int64-min is data: every "less than" comparison must keep it.
+        assert any(v == NULL_INT for _, v in expected) == (cmp in ("<", "<="))
 
     def test_nulls_never_match(self):
         store = _scan_store()
         view = VolcanoEngine(store).read_view()
-        result = execute_flat(optimize(_filter_plan(Col("v") >= Lit(0))), view)
+        # Every valid value is >= int64-min, so only NULLs may drop out.
+        opt = optimize(_filter_plan(Col("v") >= Lit(NULL_INT)))
         column = store.table("N").column("v")
-        null_rows = {
-            int(r) for r in range(len(column)) if not column.is_valid(int(r))
-        }
+        null_rows = {r for r in range(len(column)) if not column.is_valid(r)}
         assert null_rows  # the generator produced some
-        assert not null_rows & {row for row, _ in result.rows}
+        for result in (execute_flat(opt, view), execute_factorized(opt, view)):
+            matched = {row for row, _ in result.rows}
+            assert matched == set(range(len(column))) - null_rows
 
-    def test_versioned_view_falls_back_densely(self):
+    def test_versioned_view_agrees(self):
         store = _scan_store()
         engine = VolcanoEngine(store)
         txn = engine.transaction()
@@ -332,19 +273,18 @@ class TestFilteredScanExecution:
         assert view.version is not None
         plan = _filter_plan(Col("v") > Lit(500_000))
         opt = optimize(plan)
-        zmap = store.table("N").column("v").zone_map()
-        consultations = zmap.consultations
         flat = execute_flat(opt, view)
         assert (5, 777_777) in flat.rows
+        assert sorted(flat.rows) == sorted(execute_factorized(opt, view).rows)
         assert sorted(flat.rows) == sorted(engine.execute(plan, view=view).rows)
-        assert zmap.consultations == consultations  # zone map not trusted
 
-    def test_update_visible_through_zone_map_path(self):
+    def test_update_visible_in_place(self):
         store = _scan_store()
         store.table("N").set_property(9, "v", 777_777)
         view = VolcanoEngine(store).read_view()
-        flat = execute_flat(optimize(_filter_plan(Col("v") > Lit(500_000))), view)
-        assert flat.rows == [(9, 777_777)]
+        opt = optimize(_filter_plan(Col("v") > Lit(500_000)))
+        assert execute_flat(opt, view).rows == [(9, 777_777)]
+        assert execute_factorized(opt, view).rows == [(9, 777_777)]
 
 
 # -- the guard: no new sentinel references in src/ ----------------------------
