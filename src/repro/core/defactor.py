@@ -21,24 +21,6 @@ from .ftree import FTree, FTreeNode
 from .lazy import exclusive_cumsum
 
 
-def _subtree_counts(tree: FTree) -> dict[int, np.ndarray]:
-    """Per-node, per-entry count of valid subtree tuples (|R_u^i|)."""
-    counts: dict[int, np.ndarray] = {}
-
-    def compute(node: FTreeNode) -> np.ndarray:
-        result = node.selection.astype(np.int64)
-        for child, index_vector in node.children:
-            child_counts = compute(child)
-            prefix = np.zeros(len(child_counts) + 1, dtype=np.int64)
-            np.cumsum(child_counts, out=prefix[1:])
-            result *= prefix[index_vector.ends] - prefix[index_vector.starts]
-        counts[id(node)] = result
-        return result
-
-    compute(tree.root)
-    return counts
-
-
 def materialize_rows(tree: FTree) -> dict[int, np.ndarray]:
     """Row indices into every node's block, one entry per output tuple.
 
@@ -47,37 +29,35 @@ def materialize_rows(tree: FTree) -> dict[int, np.ndarray]:
     entry, then by each child's block row — the order enumeration would
     produce.
     """
-    counts = _subtree_counts(tree)
+    counts, spans = tree.subtree_counts()
+    return _subtree_rows(tree.root, counts, spans)
 
-    def recurse(node: FTreeNode) -> dict[int, np.ndarray]:
-        node_counts = counts[id(node)]
-        own = np.flatnonzero(node_counts > 0).astype(np.int64)
-        tables: dict[int, np.ndarray] = {id(node): own}
-        for child, index_vector in node.children:
-            child_tables = recurse(child)
-            child_counts = counts[id(child)]
-            # Tuple-space offset of each child block row.
-            prefix = np.zeros(len(child_counts) + 1, dtype=np.int64)
-            np.cumsum(child_counts, out=prefix[1:])
 
-            entries = tables[id(node)]
-            span_starts = prefix[index_vector.starts[entries]]
-            span_counts = prefix[index_vector.ends[entries]] - span_starts
-            total = int(span_counts.sum())
-            replicate = np.repeat(np.arange(len(entries), dtype=np.int64), span_counts)
-            within = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(exclusive_cumsum(span_counts), span_counts)
-            )
-            child_tuple_idx = np.repeat(span_starts, span_counts) + within
+def _subtree_rows(
+    node: FTreeNode,
+    counts: dict[int, np.ndarray],
+    spans: dict[int, tuple[np.ndarray, np.ndarray]],
+) -> dict[int, np.ndarray]:
+    """Row indices into the blocks of *node*'s subtree, one entry per
+    valid tuple of the subtree, keyed by ``id(node)``."""
+    tables: dict[int, np.ndarray] = {id(node): (counts[id(node)] > 0).nonzero()[0]}
+    for child, _ in node.children:
+        child_tables = _subtree_rows(child, counts, spans)
+        first, sizes = spans[id(child)]
+        entries = tables[id(node)]
+        span_starts = first[entries]
+        span_counts = sizes[entries]
+        replicate = np.arange(len(entries), dtype=np.int64).repeat(span_counts)
+        # Output k of entry r is child tuple span_starts[r] plus k's
+        # distance from r's first output.
+        shift = span_starts - exclusive_cumsum(span_counts)
+        child_tuple_idx = np.arange(len(replicate), dtype=np.int64) + shift[replicate]
 
-            for key in tables:
-                tables[key] = tables[key][replicate]
-            for key, rows in child_tables.items():
-                tables[key] = rows[child_tuple_idx]
-        return tables
-
-    return recurse(tree.root)
+        for key in tables:
+            tables[key] = tables[key][replicate]
+        for key, rows in child_tables.items():
+            tables[key] = rows[child_tuple_idx]
+    return tables
 
 
 def slot_count(tree: FTree) -> int:

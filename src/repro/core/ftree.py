@@ -25,6 +25,7 @@ import numpy as np
 from ..errors import FactorizationError
 from .column import Column, ColumnLike
 from .fblock import FBlock
+from .lazy import LazyNeighborColumn
 
 
 class IndexVector:
@@ -59,9 +60,12 @@ class IndexVector:
     def from_lengths(cls, lengths: np.ndarray) -> "IndexVector":
         """Consecutive ranges whose sizes are *lengths* (the Expand layout)."""
         lengths = np.asarray(lengths, dtype=np.int64)
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        return cls(starts, ends)
+        if len(lengths) and lengths.min() < 0:
+            raise FactorizationError("index vector has negative-length range")
+        vector = cls.__new__(cls)
+        vector.ends = lengths.cumsum()
+        vector.starts = vector.ends - lengths
+        return vector
 
     @classmethod
     def identity(cls, n: int) -> "IndexVector":
@@ -71,9 +75,13 @@ class IndexVector:
 
 
 class FTreeNode:
-    """One node: an f-Block, a selection vector, and child edges."""
+    """One node: an f-Block, a selection vector, and child edges.
 
-    __slots__ = ("name", "block", "selection", "children", "parent")
+    Nodes hold no reference to their parent, so a tree has no reference
+    cycle and is freed as soon as the query drops it.
+    """
+
+    __slots__ = ("name", "block", "selection", "children")
 
     def __init__(self, name: str, block: FBlock, selection: np.ndarray | None = None) -> None:
         self.name = name
@@ -84,17 +92,10 @@ class FTreeNode:
             raise FactorizationError("selection vector length must match block cardinality")
         self.selection = selection
         self.children: list[tuple["FTreeNode", IndexVector]] = []
-        self.parent: "FTreeNode" | None = None
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    def child_edge(self, child: "FTreeNode") -> IndexVector:
-        for node, index_vector in self.children:
-            if node is child:
-                return index_vector
-        raise FactorizationError(f"{child.name!r} is not a child of {self.name!r}")
 
     def and_selection(self, mask: np.ndarray) -> None:
         """Conjoin a filter mask into the selection vector (paper Filter op)."""
@@ -114,22 +115,41 @@ class FTreeNode:
 
 
 class FTree:
-    """A rooted f-Tree factorizing one intermediate relation."""
+    """A rooted f-Tree factorizing one intermediate relation.
+
+    Nodes and columns are added through :meth:`add_child` and
+    :meth:`add_column`, which keep the byte count :attr:`nbytes` reads.
+    """
 
     def __init__(self, root: FTreeNode) -> None:
         self.root = root
         self._attr_to_node: dict[str, FTreeNode] = {}
-        self._register_attrs(root)
+        # Footprint of everything that cannot change size (eager columns,
+        # selection and index vectors); lazy columns are charged on read.
+        self._fixed_bytes = 0
+        self._lazy_columns: list[LazyNeighborColumn] = []
+        self._adopt(root, None)
 
-    def _register_attrs(self, node: FTreeNode) -> None:
+    def _adopt(self, node: FTreeNode, index_vector: IndexVector | None) -> None:
+        """Register the attributes of *node*'s subtree and charge its bytes."""
         for attr in node.block.schema:
             if attr in self._attr_to_node:
                 raise FactorizationError(
                     f"attribute {attr!r} violates the disjoint schema partition"
                 )
             self._attr_to_node[attr] = node
-        for child, _ in node.children:
-            self._register_attrs(child)
+            self._charge(node.block.column(attr))
+        self._fixed_bytes += int(node.selection.nbytes)
+        if index_vector is not None:
+            self._fixed_bytes += index_vector.nbytes
+        for child, child_index_vector in node.children:
+            self._adopt(child, child_index_vector)
+
+    def _charge(self, column: ColumnLike) -> None:
+        if isinstance(column, LazyNeighborColumn):
+            self._lazy_columns.append(column)
+        else:
+            self._fixed_bytes += column.nbytes
 
     # -- structure -----------------------------------------------------------
 
@@ -155,14 +175,8 @@ class FTree:
         if len(block) and index_vector.ends.size and index_vector.ends.max() > len(block):
             raise FactorizationError("index vector range exceeds child block")
         node = FTreeNode(name, block, selection)
-        node.parent = parent
         parent.children.append((node, index_vector))
-        for attr in block.schema:
-            if attr in self._attr_to_node:
-                raise FactorizationError(
-                    f"attribute {attr!r} violates the disjoint schema partition"
-                )
-            self._attr_to_node[attr] = node
+        self._adopt(node, index_vector)
         return node
 
     def node_of(self, attr: str) -> FTreeNode:
@@ -208,37 +222,58 @@ class FTree:
             )
         node.block.add_column(column)
         self._attr_to_node[column.name] = node
+        self._charge(column)
 
     # -- accounting -----------------------------------------------------------
 
     @property
     def nbytes(self) -> int:
-        """Total footprint: blocks + selection vectors + index vectors."""
-        total = 0
-        for node in self.nodes():
-            total += node.block.nbytes + int(node.selection.nbytes)
-            for _, index_vector in node.children:
-                total += index_vector.nbytes
+        """Total footprint: blocks + selection vectors + index vectors.
+
+        Kept up to date on every mutation, so reading it does not walk the
+        tree.  A lazy neighbor column counts at its current size: 16 bytes
+        per reference until ``values()`` materializes it.
+        """
+        total = self._fixed_bytes
+        for column in self._lazy_columns:
+            total += column.nbytes
         return total
 
     # -- validity propagation ---------------------------------------------------
 
-    def valid_counts(self, node: FTreeNode | None = None) -> np.ndarray:
-        """Per-entry count of valid tuples induced by each entry (R_u^i).
+    def subtree_counts(
+        self,
+    ) -> tuple[dict[int, np.ndarray], dict[int, tuple[np.ndarray, np.ndarray]]]:
+        """Per-entry valid-tuple counts of every subtree, in one bottom-up pass.
 
-        ``counts[i]`` is ``|R_u^i|``: 0 when the entry is filtered out or a
-        required child range has no surviving tuples.  Fully vectorized via
-        per-child prefix sums.
+        Returns ``(counts, spans)`` keyed by ``id(node)``.
+        ``counts[id(u)][i]`` is ``|R_u^i|``: 0 when entry ``i`` is filtered
+        out or a required child range has no surviving tuples.  Number the
+        tuples of a non-root node v's subtree in block order; then for each
+        entry ``i`` of v's parent, ``spans[id(v)] = (first, sizes)`` says its
+        range covers tuples ``first[i] .. first[i] + sizes[i] - 1``.
+        Enumeration, de-factoring and aggregation weights all read this pass.
         """
-        node = node or self.root
-        counts = node.selection.astype(np.int64)
-        for child, index_vector in node.children:
-            child_counts = self.valid_counts(child)
-            prefix = np.zeros(len(child_counts) + 1, dtype=np.int64)
-            np.cumsum(child_counts, out=prefix[1:])
-            per_range = prefix[index_vector.ends] - prefix[index_vector.starts]
-            counts *= per_range
-        return counts
+        counts: dict[int, np.ndarray] = {}
+        spans: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Reversed pre-order visits every child before its parent.
+        for node in reversed(list(self.nodes())):
+            result = node.selection.astype(np.int64)
+            for child, index_vector in node.children:
+                child_counts = counts[id(child)]
+                prefix = np.zeros(len(child_counts) + 1, dtype=np.int64)
+                child_counts.cumsum(out=prefix[1:])
+                first = prefix[index_vector.starts]
+                sizes = prefix[index_vector.ends] - first
+                spans[id(child)] = (first, sizes)
+                result *= sizes
+            counts[id(node)] = result
+        return counts, spans
+
+    def valid_counts(self, node: FTreeNode | None = None) -> np.ndarray:
+        """Per-entry count of valid tuples induced by each entry (R_u^i)."""
+        counts, _ = self.subtree_counts()
+        return counts[id(node or self.root)]
 
     def num_tuples(self) -> int:
         """|R_{F_T}| without materializing anything."""
@@ -259,72 +294,81 @@ class FTree:
         for attr in attrs:
             self.node_of(attr)  # validates attribute existence
 
-        counts: dict[int, np.ndarray] = {}
+        counts, _ = self.subtree_counts()
 
-        def compute_counts(node: FTreeNode) -> np.ndarray:
-            result = node.selection.astype(np.int64)
-            for child, index_vector in node.children:
-                child_counts = compute_counts(child)
-                prefix = np.zeros(len(child_counts) + 1, dtype=np.int64)
-                np.cumsum(child_counts, out=prefix[1:])
-                result *= prefix[index_vector.ends] - prefix[index_vector.starts]
-            counts[id(node)] = result
-            return result
-
-        compute_counts(self.root)
-
-        # Pre-resolve output slots: (node, column values getter, out position).
-        buffer: list[Any] = [None] * len(attrs)
+        # Pre-resolve output slots: (column, out position) per node.
         slots: dict[int, list[tuple[Any, int]]] = {}
         for position, attr in enumerate(attrs):
             node = self.node_of(attr)
             column = node.block.column(attr)
             slots.setdefault(id(node), []).append((column, position))
 
-        def emit(node: FTreeNode, i: int) -> None:
-            for column, position in slots.get(id(node), ()):
-                getter = getattr(column, "get", None)
-                if getter is not None:
-                    buffer[position] = getter(i)
-                else:
-                    value = column.values()[i]
-                    buffer[position] = (
-                        value.item() if isinstance(value, np.generic) else value
-                    )
-
-        def recurse(node: FTreeNode, i: int) -> Iterator[None]:
-            """Yield once per valid combination of the subtree rooted at node,
-            with the output buffer filled for this subtree's attributes."""
-            emit(node, i)
-            children = node.children
-            if not children:
-                yield None
-                return
-
-            def product(level: int) -> Iterator[None]:
-                if level == len(children):
-                    yield None
-                    return
-                child, index_vector = children[level]
-                child_counts = counts[id(child)]
-                start, end = index_vector.range_of(i)
-                for j in range(start, end):
-                    if child_counts[j] == 0:
-                        continue
-                    for _ in recurse(child, j):
-                        yield from product(level + 1)
-
-            yield from product(0)
-
+        run = _Enumeration(counts, slots, [None] * len(attrs))
         root_counts = counts[id(self.root)]
         for i in range(len(self.root.block)):
             if root_counts[i] == 0:
                 continue
-            for _ in recurse(self.root, i):
-                yield tuple(buffer)
+            for _ in run.subtree(self.root, i):
+                yield tuple(run.buffer)
 
     def __repr__(self) -> str:
         return f"FTree(schema={self.schema}, nodes={sum(1 for _ in self.nodes())})"
+
+
+class _Enumeration:
+    """The state of one :meth:`FTree.iter_tuples` run.
+
+    Held in an object rather than in nested closures: a recursive closure
+    references itself, so every call would leave a reference cycle behind
+    for the collector.
+    """
+
+    __slots__ = ("counts", "slots", "buffer")
+
+    def __init__(
+        self,
+        counts: dict[int, np.ndarray],
+        slots: dict[int, list[tuple[Any, int]]],
+        buffer: list[Any],
+    ) -> None:
+        self.counts = counts
+        self.slots = slots
+        self.buffer = buffer
+
+    def emit(self, node: FTreeNode, i: int) -> None:
+        buffer = self.buffer
+        for column, position in self.slots.get(id(node), ()):
+            getter = getattr(column, "get", None)
+            if getter is not None:
+                buffer[position] = getter(i)
+            else:
+                value = column.values()[i]
+                buffer[position] = value.item() if isinstance(value, np.generic) else value
+
+    def subtree(self, node: FTreeNode, i: int) -> Iterator[None]:
+        """Yield once per valid combination of the subtree rooted at entry
+        *i* of *node*, with the buffer filled for this subtree's attributes."""
+        self.emit(node, i)
+        if node.children:
+            yield from self.product(node, i, 0)
+        else:
+            yield None
+
+    def product(self, node: FTreeNode, i: int, level: int) -> Iterator[None]:
+        """Yield once per combination of the child subtrees ``level..``
+        under entry *i* of *node*."""
+        children = node.children
+        if level == len(children):
+            yield None
+            return
+        child, index_vector = children[level]
+        child_counts = self.counts[id(child)]
+        start, end = index_vector.range_of(i)
+        for j in range(start, end):
+            if child_counts[j] == 0:
+                continue
+            for _ in self.subtree(child, j):
+                yield from self.product(node, i, level + 1)
 
 
 def singleton_tree(name: str, **arrays: Any) -> FTree:

@@ -25,7 +25,7 @@ def exclusive_cumsum(values: np.ndarray) -> np.ndarray:
     end to end (``[0, v0, v0 + v1, ...]``, one entry per value)."""
     out = np.zeros(len(values), dtype=np.int64)
     if len(values) > 1:
-        np.cumsum(values[:-1], out=out[1:])
+        values[:-1].cumsum(out=out[1:])
     return out
 
 
@@ -37,7 +37,9 @@ class LazyNeighborColumn:
     happens at most once and is cached.
     """
 
-    __slots__ = ("name", "dtype", "_base", "_starts", "_lengths", "_offsets", "_materialized")
+    __slots__ = (
+        "name", "dtype", "_base", "_starts", "_lengths", "_offsets", "_length", "_materialized",
+    )
 
     def __init__(self, name: str, base: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> None:
         if len(starts) != len(lengths):
@@ -49,6 +51,7 @@ class LazyNeighborColumn:
         self._lengths = np.asarray(lengths, dtype=np.int64)
         # Offset of each reference inside the logical column.
         self._offsets = exclusive_cumsum(self._lengths)
+        self._length = int(self._lengths.sum())
         self._materialized: np.ndarray | None = None
 
     @classmethod
@@ -57,7 +60,7 @@ class LazyNeighborColumn:
         return cls(name, zero, zero, zero)
 
     def __len__(self) -> int:
-        return int(self._lengths.sum())
+        return self._length
 
     @property
     def num_references(self) -> int:
@@ -81,15 +84,13 @@ class LazyNeighborColumn:
     def values(self) -> np.ndarray:
         """Gather the referenced ids (lazily, cached, one NumPy pass)."""
         if self._materialized is None:
-            total = len(self)
+            total = self._length
             if total == 0:
                 self._materialized = np.empty(0, dtype=np.int64)
             else:
-                within = np.arange(total, dtype=np.int64) - np.repeat(
-                    self._offsets, self._lengths
-                )
-                indices = np.repeat(self._starts, self._lengths) + within
-                self._materialized = self._base[indices]
+                # Id k of reference r sits at starts[r] + (k - offsets[r]).
+                shift = (self._starts - self._offsets).repeat(self._lengths)
+                self._materialized = self._base[shift + np.arange(total, dtype=np.int64)]
         return self._materialized
 
     def get(self, i: int) -> int:

@@ -28,54 +28,35 @@ from ..storage.validity import pack_values
 from ..types import DataType
 
 
-def _subtree_counts_all(tree: FTree) -> dict[int, np.ndarray]:
-    counts: dict[int, np.ndarray] = {}
-
-    def compute(node: FTreeNode) -> np.ndarray:
-        result = node.selection.astype(np.int64)
-        for child, index_vector in node.children:
-            child_counts = compute(child)
-            prefix = np.zeros(len(child_counts) + 1, dtype=np.int64)
-            np.cumsum(child_counts, out=prefix[1:])
-            result *= prefix[index_vector.ends] - prefix[index_vector.starts]
-        counts[id(node)] = result
-        return result
-
-    compute(tree.root)
-    return counts
-
-
 def tuples_through(tree: FTree, target: FTreeNode) -> np.ndarray:
     """Per-entry count of *whole-tree* valid tuples passing through each
     entry of *target* — the multiplicity weights for factorized aggregation.
 
     Computed with one bottom-up pass (subtree counts) and one top-down pass
-    (context counts): context(v)[j] sums, over parent entries whose range
-    covers j, the parent's context times the range-counts of all sibling
-    subtrees.  Both passes are NumPy prefix-sum kernels.
+    (context counts) along the path from the root to *target*: context(v)[j]
+    sums, over parent entries whose range covers j, the parent's context
+    times the range-counts of all sibling subtrees.  Both passes are NumPy
+    prefix-sum kernels.
     """
-    counts = _subtree_counts_all(tree)
-
-    def context(node: FTreeNode) -> np.ndarray:
-        if node.parent is None:
-            return np.ones(len(node.block), dtype=np.int64)
-        parent = node.parent
-        index_vector = parent.child_edge(node)
-        contrib = context(parent) * parent.selection.astype(np.int64)
+    counts, spans = tree.subtree_counts()
+    parent_of = {id(child): node for node in tree.nodes() for child, _ in node.children}
+    path = [target]
+    while id(path[-1]) in parent_of:
+        path.append(parent_of[id(path[-1])])
+    context = np.ones(len(tree.root.block), dtype=np.int64)
+    for parent, node in zip(reversed(path), reversed(path[:-1])):
+        contrib = context * parent.selection.astype(np.int64)
         for sibling, sibling_iv in parent.children:
             if sibling is node:
+                index_vector = sibling_iv
                 continue
-            sibling_counts = counts[id(sibling)]
-            prefix = np.zeros(len(sibling_counts) + 1, dtype=np.int64)
-            np.cumsum(sibling_counts, out=prefix[1:])
-            contrib = contrib * (prefix[sibling_iv.ends] - prefix[sibling_iv.starts])
+            contrib = contrib * spans[id(sibling)][1]
         # Scatter each parent range onto the child entries it covers.
         delta = np.zeros(len(node.block) + 1, dtype=np.int64)
         np.add.at(delta, index_vector.starts, contrib)
         np.add.at(delta, index_vector.ends, -contrib)
-        return np.cumsum(delta[:-1])
-
-    return context(target) * counts[id(target)]
+        context = np.cumsum(delta[:-1])
+    return context * counts[id(target)]
 
 
 def _non_null_mask(values: np.ndarray, validity: np.ndarray | None = None) -> np.ndarray:

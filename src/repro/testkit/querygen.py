@@ -4,8 +4,8 @@ The generator walks a :class:`~repro.storage.catalog.GraphSchema` and emits
 :class:`~repro.plan.logical.LogicalPlan` pipelines covering the executor
 surface: seeks (hit and miss), scans, chained and multi-hop expands over
 polymorphic edge names, optional match, edge-property projection, fused
-neighbor filters, boolean filter trees, aggregation, DISTINCT, ORDER BY and
-LIMIT.  A second entry point emits Cypher *text* for the subset the
+neighbor filters, boolean filter trees, aggregation (also grouped on one
+branch of two expands from the source), DISTINCT, ORDER BY and LIMIT.  A second entry point emits Cypher *text* for the subset the
 frontend parses, so the differential oracle also exercises parse + bind +
 plan-cache keying on query strings.
 
@@ -154,6 +154,12 @@ class QueryGenerator:
         vars[var] = (label, False)
         columns.append(_ColumnInfo(var, DataType.INT64, False, "var"))
 
+        if rng.random() < 0.1:
+            returns = self._branching_aggregate(spec, ops, var, vars, columns, fresh, features)
+            if returns is not None:
+                plan = LogicalPlan(ops, returns=returns, description="fuzz")
+                return GeneratedQuery(plan=plan, params=params, features=features)
+
         # Expansion chain.
         for _ in range(rng.randint(0, 3)):
             step = self._draw_expand(spec, vars, columns, fresh, features)
@@ -194,12 +200,13 @@ class QueryGenerator:
             return stride * PK_STRIDE + n + rng.randint(50, 500)  # miss
         return stride * PK_STRIDE + rng.randrange(n)
 
-    def _draw_expand(self, spec, vars, columns, fresh, features):
+    def _draw_expand(self, spec, vars, columns, fresh, features, from_var=None, optional_ok=True):
         rng = self.rng
         candidates = []
         for var, (label, tainted) in vars.items():
-            if tainted:
-                continue  # never expand from an optional variable
+            # Never expand from an optional variable; *from_var* pins the source.
+            if tainted or from_var not in (None, var):
+                continue
             for edef in self.schema.iter_edge_definitions():
                 if edef.src_label == label:
                     candidates.append((var, edef, Direction.OUT, edef.dst_label))
@@ -209,7 +216,7 @@ class QueryGenerator:
             return None
         from_var, edef, direction, to_label = rng.choice(candidates)
         to_var = fresh("v")
-        optional = rng.random() < 0.2
+        optional = optional_ok and rng.random() < 0.2
         multi_hop = (
             not optional
             and edef.src_label == edef.dst_label
@@ -240,6 +247,37 @@ class QueryGenerator:
         vars[to_var] = (to_label, optional)
         columns.append(_ColumnInfo(to_var, DataType.INT64, optional, "var"))
         return Expand(from_var, to_var, edef.name, **kwargs)
+
+    def _branching_aggregate(self, spec, ops, root, vars, columns, fresh, features):
+        """Two expands from *root*, then an aggregate grouped on the first.
+
+        The f-Tree branches and the aggregate's attributes live on a
+        non-root node, so GES_f*'s fused AggregateTopK weights that node's
+        entries by whole-tree tuple counts, sibling branch included (the
+        sibling term of ``tuples_through``).  None when *root* has no edge.
+        """
+        rng = self.rng
+        branches = []
+        for _ in range(2):
+            step = self._draw_expand(
+                spec, vars, columns, fresh, features, from_var=root, optional_ok=False
+            )
+            if step is None:
+                return None
+            branches.append(step)
+        ops.extend(branches)
+        group, sibling = branches[0].to_var, branches[1].to_var
+        if rng.random() < 0.5:
+            # Deselects some sibling entries, so its range counts vary.
+            ops.append(Filter(Cmp(rng.choice(_CMP_OPS), Col(sibling), Lit(rng.randint(0, 12)))))
+            features.append("filter")
+        fn = rng.choice(("count", "count_distinct", "sum", "min", "max", "avg"))
+        ops.append(Aggregate([group], [AggSpec("a0", "count", None), AggSpec("a1", fn, group)]))
+        # Group keys are unique vertex ids: the order and the cut are total.
+        ops.append(OrderBy([(group, rng.random() < 0.7)]))
+        ops.append(Limit(rng.randint(1, 6)))
+        features += ["branch-aggregate", "aggregate", "order-by", "limit"]
+        return [group, "a0", "a1"]
 
     def _draw_get_property(self, vars, fresh):
         rng = self.rng

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Column, FBlock, FTree, IndexVector, materialize
+from repro.core import Column, FBlock, FTree, IndexVector, LazyNeighborColumn, materialize
 from repro.errors import FactorizationError
 from repro.types import DataType
 
@@ -49,6 +49,19 @@ class TestIndexVector:
     def test_negative_range_rejected(self):
         with pytest.raises(FactorizationError):
             IndexVector(np.asarray([2]), np.asarray([1]))
+
+    def test_from_lengths_rejects_negative_length(self):
+        with pytest.raises(FactorizationError):
+            IndexVector.from_lengths(np.asarray([1, -1, 2]))
+
+    def test_from_lengths_empty(self):
+        iv = IndexVector.from_lengths(np.asarray([], dtype=np.int64))
+        assert len(iv) == 0 and iv.nbytes == 0
+
+    def test_nbytes_counts_starts_and_ends(self):
+        # Two int64 vectors of three entries each.
+        assert IndexVector.from_lengths(np.asarray([2, 0, 1])).nbytes == 48
+        assert IndexVector.identity(5).nbytes == 80
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(FactorizationError):
@@ -155,6 +168,23 @@ class TestFTreeStructure:
         tree.add_child(tree.root, "c", child, IndexVector.from_lengths([1000]))
         flat = materialize(tree)
         assert tree.nbytes < flat.nbytes
+
+    def test_nbytes_pinned_with_lazy_child(self):
+        # Root: 2 int64 values (16 B) + 2 selection bytes.
+        tree = FTree.single("r", FBlock([Column("p", DataType.INT64, [0, 1])]))
+        assert tree.nbytes == 18
+        lazy = LazyNeighborColumn(
+            "n", np.arange(10, dtype=np.int64), np.asarray([0, 4]), np.asarray([3, 2])
+        )
+        tree.add_child(tree.root, "c", FBlock([lazy]), IndexVector.from_lengths([3, 2]))
+        # + 2 references at 16 B, 5 selection bytes, a 2-entry index vector.
+        assert tree.nbytes == 18 + 2 * 16 + 5 + 32
+        lazy.values()
+        # Materialized: the column is charged at its 5 int64 ids.
+        assert tree.nbytes == 18 + 5 * 8 + 5 + 32
+        tree.add_column(tree.root, Column("s", DataType.STRING, ["ab", None], [True, False]))
+        # 2 object slots + 2 payload bytes + a 2-byte validity mask.
+        assert tree.nbytes == 18 + 5 * 8 + 5 + 32 + 2 * 8 + 2 + 2
 
     def test_root_selection_filters_everything(self):
         tree = example_4_2()

@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import Column, FBlock, FTree, FTreeNode, IndexVector, materialize
+from repro.core import (
+    Column,
+    FBlock,
+    FTree,
+    FTreeNode,
+    IndexVector,
+    LazyNeighborColumn,
+    materialize,
+)
 from repro.exec.aggregate import tuples_through
 from repro.types import DataType
 
@@ -193,6 +201,49 @@ def test_projection_consistency(tree: FTree):
         (row[schema.index(attrs[0])], row[schema.index(attrs[1])]) for row in full
     ]
     assert list(tree.iter_tuples(attrs)) == expected
+
+
+def walked_nbytes(tree: FTree) -> int:
+    """Reference footprint: every node's block and selection vector, and
+    every edge's index vector, summed by walking the whole tree."""
+    total = 0
+    for node in tree.nodes():
+        total += node.block.nbytes + int(node.selection.nbytes)
+        for _, index_vector in node.children:
+            total += index_vector.nbytes
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_trees(), st.data())
+def test_nbytes_matches_walk(tree: FTree, data):
+    """The byte count kept on mutation equals a full walk after each kind
+    of mutation: a payload column, a lazy child, and its materialization."""
+    assert tree.nbytes == walked_nbytes(tree)
+    node = data.draw(st.sampled_from(list(tree.nodes())))
+    n = len(node.block)
+
+    strings = data.draw(st.lists(st.one_of(st.none(), st.text(max_size=3)), min_size=n, max_size=n))
+    tree.add_column(node, Column("extra", DataType.STRING, strings,
+                                 [s is not None for s in strings]))
+    assert tree.nbytes == walked_nbytes(tree)
+
+    lengths = np.asarray(
+        data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64
+    )
+    lazy = LazyNeighborColumn(
+        "lazy", np.arange(100, 103, dtype=np.int64), np.zeros(n, dtype=np.int64), lengths
+    )
+    before = tree.nbytes
+    child = tree.add_child(node, "lazy", FBlock([lazy]), IndexVector.from_lengths(lengths))
+    assert tree.nbytes == walked_nbytes(tree)
+    # Unmaterialized, the column costs 16 B per reference, not per id.
+    assert tree.nbytes - before == 16 * n + child.selection.nbytes + 16 * n
+
+    lazy.values()
+    assert lazy.is_materialized
+    assert tree.nbytes == walked_nbytes(tree)
+    assert tree.nbytes - before == 8 * len(lazy) + child.selection.nbytes + 16 * n
 
 
 # -- seeded adversarial shapes (stdlib random; no hypothesis shrinking) -------------

@@ -16,7 +16,8 @@ import pytest
 from repro.cli import main
 from repro.obs.metrics import REGISTRY
 from repro.plan.expressions import Col, InSet, Lit
-from repro.plan.logical import Filter, LogicalPlan, NodeScan
+from repro.plan.logical import Aggregate, AggregateTopK, Expand, Filter, LogicalPlan, NodeScan
+from repro.plan.optimizer import aggregate_project_top
 from repro.testkit import (
     DifferentialOracle,
     FuzzConfig,
@@ -127,6 +128,23 @@ class TestDifferentialOracle:
             for mismatch in oracle.check(gen.query(spec)):
                 kinds.add(mismatch.signature)
         assert ("rows", "GES_f*") in kinds
+
+    def test_branching_aggregate_shape(self):
+        """Seed 0's first query branches the f-Tree (two expands from the
+        source) and aggregates on the first branch, a non-root node: the
+        shape under which the fused aggregate weights entries by the sibling
+        branch's tuple counts."""
+        schema = fuzz_schema()
+        store, spec = generate_store(0, schema, "quick")
+        query = QueryGenerator(schema, random.Random("0:queries:0")).query(spec)
+        assert "branch-aggregate" in query.features
+        source, first, second = query.plan.ops[:3]
+        assert isinstance(first, Expand) and isinstance(second, Expand)
+        assert first.from_var == second.from_var == source.var
+        aggregate = next(op for op in query.plan.ops if isinstance(op, Aggregate))
+        assert aggregate.group_by == [first.to_var]
+        assert isinstance(aggregate_project_top(query.plan).ops[-1], AggregateTopK)
+        assert DifferentialOracle(store).check(query) == []
 
     def test_unknown_baseline_rejected(self):
         store, _ = generate_store(1, fuzz_schema(), "quick")
